@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from . import coordmaps, groupops, hopf, numeric, prelie
+from . import coordmaps, groupops, hopf, prelie
 from .lincomb import LinComb
 from .series import Series, add, left_concat, shuffle_product, zero_series
 from .trees import Rct, degree, iter_rcts
@@ -349,6 +349,8 @@ def check_convolution(trials: int = 20, m: int = 2, max_len: int = 4,
 def check_numeric(N: int = 2000, tol: float = 1e-6,
                   ratio_lo: float = 3.2, ratio_hi: float = 4.8,
                   noise_floor: float = 1e-12) -> list:
+    from . import numeric  # numpy loads only for the numeric checks
+
     records = numeric.run_standard_checks(N=N)
     for rec in records:
         assert rec.final_deviation <= tol, \

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checks, coordmaps, groupops, hopf, numeric, prelie, series as series_mod
+from . import checks, coordmaps, groupops, hopf, prelie, series as series_mod
 from .lincomb import format_rational
 from .series import Series
 from .trees import (
@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("antipode", help="antipode of a tree")
     p.add_argument("--rct", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--method", choices=("left", "right", "forest"), default="left")
+    p.add_argument("--method", choices=("left", "right", "forest"), default="right",
+                   help="right recursion (default), left recursion, or the closed forest formula")
 
     p = sub.add_parser("stats", help="antipode term statistics (CSV)")
     p.add_argument("--rct", required=True)
@@ -242,8 +243,7 @@ def _run(args) -> int:
         k = 1
         while 2 * k + 1 <= args.max_degree:
             c = Rct(1, (0,) * k)
-            poly = hopf.antipode_recursive(c, 1, "left")
-            print(f"{2 * k + 1},{len(poly)}")
+            print(f"{2 * k + 1},{len(hopf.antipode(c, 1))}")
             k += 1
         return 0
 
@@ -301,6 +301,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "numcheck":
+        from . import numeric  # numpy loads only for the numeric commands
+
         grid_sizes = [args.N // 8, args.N // 4, args.N // 2, args.N]
         fns = numeric.standard_inputs()
         print("kind,case,N,deviation")

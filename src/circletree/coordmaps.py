@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .lincomb import LinComb, format_rational
+from .lincomb import LinComb, counit, format_rational, mono_mul, mono_sort_key, poly_mul
 from .trees import Rct
 from .words import Word, format_word, parse_word
 
@@ -39,18 +39,6 @@ def degree(a: CoordMap) -> int:
 
 def mono_degree(mono: CMono) -> int:
     return sum(degree(a) for a in mono)
-
-
-def mono_mul(a: CMono, b: CMono) -> CMono:
-    return tuple(sorted(a + b))
-
-
-def poly_mul(p: LinComb, q: LinComb) -> LinComb:
-    out = LinComb()
-    for ma, ka in p.items():
-        for mb, kb in q.items():
-            out.add_term(mono_mul(ma, mb), ka * kb)
-    return out
 
 
 def deshuffle_coproduct(a: CoordMap, j: int) -> LinComb:
@@ -109,21 +97,6 @@ def reduced_delta(a: CoordMap, m: int) -> LinComb:
     return out
 
 
-def full_delta_monomial(mono: CMono, m: int) -> LinComb:
-    acc = LinComb.single((UNIT, UNIT), 1)
-    for factor in mono:
-        step = LinComb()
-        for (la, ra), ka in acc.items():
-            for (lb, rb), kb in full_delta(factor, m).items():
-                step.add_term((mono_mul(la, lb), mono_mul(ra, rb)), ka * kb)
-        acc = step
-    return acc
-
-
-def counit(p: LinComb):
-    return p.get(UNIT, 0)
-
-
 @lru_cache(maxsize=None)
 def _antipode_mono(a: CoordMap, m: int, side: str) -> tuple[tuple[CMono, int], ...]:
     acc = LinComb.single((a,), -1)
@@ -141,13 +114,13 @@ def _antipode_mono(a: CoordMap, m: int, side: str) -> tuple[tuple[CMono, int], .
     return tuple(acc.items())
 
 
-def antipode(a: CoordMap, m: int, side: str = "left") -> LinComb:
+def antipode(a: CoordMap, m: int, side: str = "right") -> LinComb:
     if side not in {"left", "right"}:
         raise ValueError(f"side must be left or right, got {side!r}")
     return LinComb(dict(_antipode_mono(a, m, side)))
 
 
-def antipode_poly(p: LinComb, m: int, side: str = "left") -> LinComb:
+def antipode_poly(p: LinComb, m: int, side: str = "right") -> LinComb:
     out = LinComb()
     for mono, coeff in p.items():
         acc = LinComb.single(UNIT, 1)
@@ -199,10 +172,6 @@ def parse_coord_map(text: str, m: int | None = None) -> CoordMap:
     if channel < 1 or (m is not None and channel > m):
         raise ValueError(f"channel {channel} outside 1..{m}")
     return CoordMap(channel, parse_word(word_text, m))
-
-
-def mono_sort_key(mono: CMono):
-    return (len(mono), mono)
 
 
 def format_cmono(mono: CMono) -> str:

@@ -21,7 +21,7 @@ from itertools import product as iter_product
 
 from .coordmaps import CoordMap, antipode, full_delta
 from .lincomb import LinComb, as_fraction
-from .series import DeltaSeries, Series, add, from_channel_polys
+from .series import Series, add, from_channel_polys
 from .words import shuffle_polys
 
 _UNIT_POLY = LinComb({(): 1})
@@ -104,10 +104,6 @@ def group_product(c: Series, d: Series, max_len: int | None = None) -> Series:
     return add(d.truncated(modified.max_len), modified)
 
 
-def delta_compose(a: DeltaSeries, b: DeltaSeries) -> DeltaSeries:
-    return DeltaSeries(group_product(a.base, b.base))
-
-
 # ---------------------------------------------------------------------------
 # characters and inversion
 
@@ -163,10 +159,6 @@ def group_inverse(c: Series, max_len: int | None = None) -> Series:
                 if value:
                     coeffs[(channel, word)] = value
     return Series(m, m, length, coeffs)
-
-
-def delta_inverse(a: DeltaSeries, max_len: int | None = None) -> DeltaSeries:
-    return DeltaSeries(group_inverse(a.base, max_len))
 
 
 def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:

@@ -3,11 +3,18 @@
 Monomials are multisets of trees (canonically sorted tuples); the empty
 tuple is the algebra unit.  The coproduct sums quotient (x) extracted
 sub-trees over admissible extractions, with every extraction label
-expanded concretely over 1..m.  The antipode comes three ways: two
-recursions over proper admissible extractions, and a closed formula
-summing signed nesting forests over all general extractions.  The
-closed formula never mixes signs on a monomial, which is what makes it
-cheap at high degree.
+expanded concretely over 1..m.  The coproduct and every antipode route
+run on the bitmask extraction kernel of `trees`.  The antipode comes
+three ways:
+
+* right recursion, S(c) = -c - sum q S(r_1)...S(r_n), the default: it is
+  the closed forest formula in factored form (Menous-Patras), so it never
+  cancels and is the cheapest exact route;
+* left recursion, S(c) = -c - sum S(q) r_1...r_n, kept as a cross-check;
+  its raw expansion cancels heavily, which `antipode_stats` counts;
+* the closed forest formula, one signed monomial per general extraction
+  and labelling, never mixing signs on a monomial: the oracle of the
+  recursions and the route of the forest statistics.
 
 Memoization of the recursions is on by default; set CIRCLETREE_MEMO=off
 (or pass memoize=False) to force the raw expansion, e.g. to time it.
@@ -18,43 +25,31 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from typing import Iterator
 
-from .lincomb import LinComb, format_rational
+from . import coordmaps, words
+from .lincomb import LinComb, counit, format_rational, mono_mul, mono_sort_key, poly_mul
 from .trees import (
     Extraction,
-    ForestNode,
     Rct,
-    _forest_nodes,
     admissible_subsets,
+    bit_indices,
     degree,
     format_rct,
-    iter_admissible_families,
-    iter_general_families,
+    labelled_extractions,
     quotient,
     restrict,
 )
+from .words import Word
 
 Monomial = tuple[Rct, ...]
 
 UNIT: Monomial = ()
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(a + b))
-
-
 def mono_degree(mono: Monomial) -> int:
     return sum(degree(c) for c in mono)
-
-
-def poly_mul(p: LinComb, q: LinComb) -> LinComb:
-    out = LinComb()
-    for ma, ka in p.items():
-        for mb, kb in q.items():
-            out.add_term(mono_mul(ma, mb), ka * kb)
-    return out
 
 
 def tensor_mul(s: LinComb, t: LinComb) -> LinComb:
@@ -68,31 +63,28 @@ def tensor_mul(s: LinComb, t: LinComb) -> LinComb:
 @lru_cache(maxsize=None)
 def _proper_items(c: Rct, m: int) -> tuple[tuple[Rct, Monomial], ...]:
     """Quotient/sub-tree pairs of all proper admissible extractions, labels expanded."""
+    word = c.word
     out: list[tuple[Rct, Monomial]] = []
-    for family in iter_admissible_families(c):
-        for labels in product(range(1, m + 1), repeat=len(family)):
-            q = quotient(c, family, labels, m)
-            rest = tuple(sorted(
-                restrict(c, subset, label, m)
-                for subset, label in zip(family, labels)))
-            out.append((q, rest))
+    for family, labels, qword in labelled_extractions(word, (1 << len(word)) - 1, m)[1:]:
+        rest = tuple(sorted(
+            Rct(label, tuple(word[i] for i in bit_indices(block)[1:]))
+            for block, label in zip(family, labels)))
+        out.append((Rct(c.root, qword), rest))
     return tuple(out)
-
-
-def coproduct(c: Rct, m: int) -> LinComb:
-    """Full coproduct of a generator as a tensor polynomial."""
-    out = LinComb()
-    out.add_term(((c,), UNIT), 1)
-    out.add_term((UNIT, (c,)), 1)
-    for q, rest in _proper_items(c, m):
-        out.add_term(((q,), rest), 1)
-    return out
 
 
 def reduced_coproduct(c: Rct, m: int) -> LinComb:
     out = LinComb()
     for q, rest in _proper_items(c, m):
         out.add_term(((q,), rest), 1)
+    return out
+
+
+def coproduct(c: Rct, m: int) -> LinComb:
+    """Full coproduct of a generator as a tensor polynomial."""
+    out = reduced_coproduct(c, m)
+    out.add_term(((c,), UNIT), 1)
+    out.add_term((UNIT, (c,)), 1)
     return out
 
 
@@ -121,10 +113,6 @@ def coproduct_poly(p: LinComb, m: int) -> LinComb:
     return out
 
 
-def counit(p: LinComb):
-    return p.get(UNIT, 0)
-
-
 def extraction_term(c: Rct, extraction: Extraction, labels, m: int) -> tuple[Monomial, Monomial]:
     """Coproduct tensor term of one admissible extraction at fixed labels."""
     if extraction.kind == "empty":
@@ -148,61 +136,45 @@ def _memo_enabled(override: bool | None) -> bool:
     return os.environ.get("CIRCLETREE_MEMO", "").strip().lower() not in {"off", "0", "false"}
 
 
-_ANTIPODE_CACHE: dict[tuple, dict] = {}
+_ANTIPODE_CACHE: dict[tuple, LinComb] = {}
 
 
 def clear_caches() -> None:
+    """Empty every memo table of the package, e.g. to time a cold run."""
     _ANTIPODE_CACHE.clear()
-    _proper_items.cache_clear()
-    _generated_count.cache_clear()
+    for cached in (_proper_items, _generated_count, coordmaps._tilde_items,
+                   coordmaps._antipode_mono, words._shuffle_items):
+        cached.cache_clear()
 
 
-def _antipode_dict(c: Rct, m: int, side: str, use_memo: bool) -> dict:
+def _antipode_dict(c: Rct, m: int, side: str, use_memo: bool) -> LinComb:
     key = (side, m, c)
     if use_memo:
         hit = _ANTIPODE_CACHE.get(key)
         if hit is not None:
             return hit
-    acc: dict[Monomial, int] = {(c,): -1}
-
-    def add(mono: Monomial, coeff: int) -> None:
-        new = acc.get(mono, 0) + coeff
-        if new:
-            acc[mono] = new
-        else:
-            del acc[mono]
-
+    acc = LinComb({(c,): -1})
     for q, rest in _proper_items(c, m):
         if side == "left":
             for mono, coeff in _antipode_dict(q, m, side, use_memo).items():
-                add(mono_mul(mono, rest), -coeff)
+                acc.add_term(mono_mul(mono, rest), -coeff)
         else:
-            prod: dict[Monomial, int] = {(q,): 1}
+            prod = LinComb({(q,): 1})
             for r in rest:
-                nxt: dict[Monomial, int] = {}
-                for mono, coeff in prod.items():
-                    for smono, scoeff in _antipode_dict(r, m, side, use_memo).items():
-                        key2 = mono_mul(mono, smono)
-                        val = nxt.get(key2, 0) + coeff * scoeff
-                        if val:
-                            nxt[key2] = val
-                        else:
-                            del nxt[key2]
-                prod = nxt
-            for mono, coeff in prod.items():
-                add(mono, -coeff)
+                prod = poly_mul(prod, _antipode_dict(r, m, side, use_memo))
+            acc.add_comb(prod, -1)
     if use_memo:
         _ANTIPODE_CACHE[key] = acc
     return acc
 
 
-def antipode_recursive(c: Rct, m: int, side: str = "left", memoize: bool | None = None) -> LinComb:
+def antipode_recursive(c: Rct, m: int, side: str = "right", memoize: bool | None = None) -> LinComb:
     if side not in {"left", "right"}:
         raise ValueError(f"side must be left or right, got {side!r}")
     return LinComb(_antipode_dict(c, m, side, _memo_enabled(memoize)))
 
 
-def antipode_poly(p: LinComb, m: int, method: str = "left") -> LinComb:
+def antipode_poly(p: LinComb, m: int, method: str = "right") -> LinComb:
     """Antipode extended multiplicatively to monomials, linearly to polynomials."""
     out = LinComb()
     for mono, coeff in p.items():
@@ -217,31 +189,35 @@ def antipode_poly(p: LinComb, m: int, method: str = "left") -> LinComb:
 # closed forest formula
 
 
-def _node_factors(c: Rct, node: ForestNode, label_of: dict, m: int) -> list[Rct]:
-    sub = restrict(c, node.subset, label_of[node.subset], m)
-    index_of = {p: i + 1 for i, p in enumerate(sorted(node.subset)[1:])}
-    kid_subsets = [tuple(index_of[p] for p in child.subset) for child in node.children]
-    kid_labels = [label_of[child.subset] for child in node.children]
-    factors = [quotient(sub, kid_subsets, kid_labels, m)]
-    for child in node.children:
-        factors.extend(_node_factors(c, child, label_of, m))
-    return factors
+def _forest_terms(word: Word, mask: int, root: int, m: int, memo: dict) -> Iterator[tuple]:
+    """(subsets, factors) of every labelled general family of the tree with
+    this root on the positions of `mask`: a top-level disjoint family, then a
+    general family inside each block below its minimum.  `memo` holds the
+    expansion of each (block, label) already met in this call."""
+    for family, labels, qword in labelled_extractions(word, mask, m):
+        parts = []
+        for block, label in zip(family, labels):
+            inner = memo.get((block, label))
+            if inner is None:
+                inner = memo[block, label] = list(
+                    _forest_terms(word, block & (block - 1), label, m, memo))
+            parts.append(inner)
+        head_subsets = tuple(tuple(i + 1 for i in bit_indices(block)) for block in family)
+        head = (Rct(root, qword),)
+        for combo in product(*parts):
+            subsets, factors = head_subsets, head
+            for sub_subsets, sub_factors in combo:
+                subsets += sub_subsets
+                factors += sub_factors
+            yield subsets, factors
 
 
 def forest_signed_terms(c: Rct, m: int) -> Iterator[tuple[tuple, Monomial, int]]:
     """Signed monomials of the closed antipode formula, one per
-    (general extraction, label assignment)."""
-    for family in chain([()], iter_general_families(c)):
-        nodes = _forest_nodes(family) if family else ()
-        sign = -1 if (1 + len(family)) % 2 else 1
-        for labels in product(range(1, m + 1), repeat=len(family)):
-            label_of = dict(zip(family, labels))
-            top_subsets = [node.subset for node in nodes]
-            top_labels = [label_of[s] for s in top_subsets]
-            factors = [quotient(c, top_subsets, top_labels, m)]
-            for node in nodes:
-                factors.extend(_node_factors(c, node, label_of, m))
-            yield family, tuple(sorted(factors)), sign
+    (general extraction, label assignment); the extraction lists its subsets
+    in lexicographic order."""
+    for subsets, factors in _forest_terms(c.word, (1 << len(c.word)) - 1, c.root, m, {}):
+        yield tuple(sorted(subsets)), tuple(sorted(factors)), 1 if len(subsets) % 2 else -1
 
 
 def antipode_forest(c: Rct, m: int) -> LinComb:
@@ -251,7 +227,7 @@ def antipode_forest(c: Rct, m: int) -> LinComb:
     return out
 
 
-def antipode(c: Rct, m: int, method: str = "left", memoize: bool | None = None) -> LinComb:
+def antipode(c: Rct, m: int, method: str = "right", memoize: bool | None = None) -> LinComb:
     if method == "forest":
         return antipode_forest(c, m)
     return antipode_recursive(c, m, method, memoize)
@@ -271,12 +247,11 @@ class StatsRecord:
 
 
 @lru_cache(maxsize=None)
-def _generated_count(c: Rct, m: int) -> int:
-    """Signed monomials the raw left recursion would emit before combining."""
-    total = 1
-    for q, _rest in _proper_items(c, m):
-        total += _generated_count(q, m)
-    return total
+def _generated_count(word: Word, m: int) -> int:
+    """Signed monomials the raw left recursion would emit before combining,
+    counted through the quotients alone."""
+    extractions = labelled_extractions(word, (1 << len(word)) - 1, m)[1:]
+    return 1 + sum(_generated_count(qword, m) for _family, _labels, qword in extractions)
 
 
 def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecord:
@@ -287,8 +262,9 @@ def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecor
             generated += 1
             poly.add_term(mono, sign)
     elif method == "recursive_left":
-        generated = _generated_count(c, m)
-        poly = antipode_recursive(c, m, "left")
+        # the antipode is one element whichever route computes it
+        generated = _generated_count(c.word, m)
+        poly = antipode(c, m)
     else:
         raise ValueError(f"unknown stats method {method!r}")
     cancelled = generated - poly.coeff_mass()
@@ -297,10 +273,6 @@ def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecor
 
 # ---------------------------------------------------------------------------
 # text output
-
-
-def mono_sort_key(mono: Monomial):
-    return (len(mono), mono)
 
 
 def format_monomial(mono: Monomial) -> str:

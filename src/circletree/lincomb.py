@@ -74,6 +74,31 @@ class LinComb(dict):
         return sum(abs(v) for v in self.values())
 
 
+# ---------------------------------------------------------------------------
+# commutative monomials: sorted tuples of basis elements, () is the unit;
+# shared by the circle-tree and the coordinate-map algebras
+
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(sorted(a + b))
+
+
+def poly_mul(p: LinComb, q: LinComb) -> LinComb:
+    out = LinComb()
+    for ma, ka in p.items():
+        for mb, kb in q.items():
+            out.add_term(mono_mul(ma, mb), ka * kb)
+    return out
+
+
+def counit(p: LinComb):
+    return p.get((), 0)
+
+
+def mono_sort_key(mono: tuple):
+    return (len(mono), mono)
+
+
 def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 

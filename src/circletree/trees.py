@@ -72,11 +72,6 @@ def admissible_subsets(c: Rct) -> list[Subset]:
     return out
 
 
-def _compatible_disjoint(cand: Subset, chosen: list[Subset]) -> bool:
-    cset = set(cand)
-    return all(cset.isdisjoint(s) for s in chosen)
-
-
 def _compatible_general(cand: Subset, chosen: list[Subset]) -> bool:
     # cand's minimum exceeds every chosen minimum, so nesting can only be cand inside chosen.
     cset = set(cand)
@@ -89,14 +84,16 @@ def _compatible_general(cand: Subset, chosen: list[Subset]) -> bool:
     return True
 
 
-def _iter_families(subsets: list[Subset], compatible) -> Iterator[tuple[Subset, ...]]:
-    """Pre-order enumeration of families drawn from the lexicographic subset list."""
+def iter_general_families(c: Rct) -> Iterator[tuple[Subset, ...]]:
+    """Nonempty disjoint-or-nested families with pairwise distinct minima, in
+    lexicographic order; the independent oracle of the forest formula."""
+    subsets = admissible_subsets(c)
     chosen: list[Subset] = []
 
     def rec(start: int) -> Iterator[tuple[Subset, ...]]:
         for idx in range(start, len(subsets)):
             cand = subsets[idx]
-            if not compatible(cand, chosen):
+            if not _compatible_general(cand, chosen):
                 continue
             chosen.append(cand)
             yield tuple(chosen)
@@ -107,13 +104,11 @@ def _iter_families(subsets: list[Subset], compatible) -> Iterator[tuple[Subset, 
 
 
 def iter_admissible_families(c: Rct) -> Iterator[tuple[Subset, ...]]:
-    """Nonempty families of pairwise disjoint admissible subsets."""
-    yield from _iter_families(admissible_subsets(c), _compatible_disjoint)
-
-
-def iter_general_families(c: Rct) -> Iterator[tuple[Subset, ...]]:
-    """Nonempty disjoint-or-nested families with pairwise distinct minima."""
-    yield from _iter_families(admissible_subsets(c), _compatible_general)
+    """Nonempty families of pairwise disjoint admissible subsets, in
+    lexicographic order."""
+    extractions = labelled_extractions(c.word, (1 << len(c.word)) - 1, 1)
+    yield from sorted(tuple(tuple(i + 1 for i in bit_indices(block)) for block in fam)
+                      for fam, _labels, _qword in extractions[1:])
 
 
 def enumerate_admissible_extractions(c: Rct, include_trivial: bool = False) -> list[Extraction]:
@@ -130,6 +125,39 @@ def enumerate_all_extractions(c: Rct) -> list[Extraction]:
     """General extractions for the closed antipode formula; starts with the empty one."""
     out = [EMPTY_EXTRACTION]
     out.extend(Extraction("proper", fam) for fam in iter_general_families(c))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# bitmask extraction kernel shared by the coproduct and every antipode route
+#
+# Position p is bit p-1 of a mask.  Families built here are admissible and
+# pairwise disjoint by construction, so quotients are assembled directly,
+# without the checks of the public `quotient`/`restrict`.
+
+
+def bit_indices(mask: int) -> list[int]:
+    """0-based word indices of the positions in `mask`, increasing."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def labelled_extractions(word: Word, mask: int, m: int) -> list[tuple]:
+    """(family, labels, quotient word) for every family of pairwise disjoint
+    admissible subsets of the positions in `mask` and every labelling 1..m of
+    its blocks; the empty family comes first.  A family is a tuple of bitmasks
+    ordered by minimum.  The quotient word keeps the unextracted letters of
+    `mask` and puts each block's label at its minimum."""
+    out: list[tuple] = [((), (), ())]
+    for i in bit_indices(mask):
+        bit, letter = 1 << i, word[i]
+        # the position stays in the quotient, joins a block, or opens a block if white
+        grown = [(fam, labels, qword + (letter,)) for fam, labels, qword in out]
+        grown += [(fam[:j] + (fam[j] | bit,) + fam[j + 1:], labels, qword)
+                  for fam, labels, qword in out for j in range(len(fam))]
+        if letter == 0:
+            grown += [(fam + (bit,), labels + (label,), qword + (label,))
+                      for fam, labels, qword in out for label in range(1, m + 1)]
+        out = grown
     return out
 
 

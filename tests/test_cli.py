@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import circletree
 from circletree.cli import main
 
 
@@ -60,6 +65,23 @@ def test_antipode_command_all_methods(capsys):
     assert results[0] == results[1] == results[2]
     assert results[0].splitlines()[0] == "1:0.0 -1"
     assert len(results[0].splitlines()) == 6
+
+
+def test_antipode_default_method_prints_the_left_bytes(capsys):
+    _, default, _ = run_cli(capsys, "antipode", "--rct", "1:0.0.1", "--m", "2")
+    _, left, _ = run_cli(capsys, "antipode", "--rct", "1:0.0.1", "--m", "2",
+                         "--method", "left")
+    assert default == left
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(circletree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import sys, circletree.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_stats_and_table1(capsys):

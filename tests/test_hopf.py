@@ -1,4 +1,8 @@
-from circletree import checks
+import importlib
+import pkgutil
+
+import circletree
+from circletree import checks, coordmaps, hopf
 from circletree.hopf import (
     antipode_forest,
     antipode_poly,
@@ -14,7 +18,8 @@ from circletree.hopf import (
     reduced_coproduct,
 )
 from circletree.lincomb import LinComb
-from circletree.trees import Rct
+from circletree.trees import Rct, iter_general_families, iter_rcts
+from circletree.words import shuffle
 
 
 def T(*rcts):
@@ -138,7 +143,7 @@ def test_forest_primitive_and_nested_contribution():
 
 def test_forest_term_counts_match_published_totals():
     # total number of terms, with multiplicities, of the closed formula at m=1
-    published = {1: 2, 2: 6, 3: 26, 4: 150, 5: 1082}
+    published = {1: 2, 2: 6, 3: 26, 4: 150, 5: 1082, 6: 9366, 7: 94586}
     for k, total in published.items():
         c = Rct(1, (0,) * k)
         assert sum(1 for _ in forest_signed_terms(c, 1)) == total
@@ -156,6 +161,58 @@ def test_antipode_stats():
     assert forest.generated == 26
     assert forest.distinct == 17
     assert forest.cancelled_mass == 0
+
+
+def test_forest_families_are_the_general_families():
+    # one term per (general family, labelling), nothing more and nothing missed
+    for m in (1, 2):
+        for c in iter_rcts(9, m):
+            families = [fam for fam, _mono, _sign in forest_signed_terms(c, m)]
+            expected = set(iter_general_families(c)) | {()}
+            assert set(families) == expected, c
+            assert len(families) == sum(m ** len(fam) for fam in expected), c
+            assert antipode_forest(c, m).coeff_mass() == len(families), c
+
+
+def test_forest_equals_both_recursions_at_degree_15():
+    c = Rct(1, (0,) * 7)
+    forest = antipode_forest(c, 1)
+    assert len(forest) == 1059 and forest.coeff_mass() == 94586
+    assert forest == antipode_recursive(c, 1, "right") == antipode_recursive(c, 1, "left")
+
+
+def test_antipode_stats_independent_of_cache_state():
+    expected = {
+        (Rct(1, (0, 0, 0, 0)), 1): (872, 50, 722),
+        (Rct(1, (0, 0, 1, 0)), 2): (1035, 176, 744),
+        (Rct(2, (0, 1, 0, 2, 0)), 2): (2027, 348, 1472),
+    }
+    for (c, m), triple in expected.items():
+        hopf.clear_caches()
+        fresh = antipode_stats(c, m)
+        assert (fresh.generated, fresh.distinct, fresh.cancelled_mass) == triple, c
+        hopf.clear_caches()
+        antipode_recursive(c, m, "left")
+        assert antipode_stats(c, m) == fresh, c
+
+
+def test_clear_caches_empties_every_memo_table():
+    c = Rct(1, (0, 0, 1))
+    for method in ("left", "right", "forest"):
+        antipode_poly(LinComb({(c,): 1}), 2, method)
+    antipode_stats(c, 2)
+    coordmaps.antipode_poly(coordmaps.tree_poly_to_coord(LinComb({(c,): 1})), 2, "left")
+    shuffle((0, 1), (2,))
+    caches = []
+    for info in pkgutil.iter_modules(circletree.__path__):
+        module = importlib.import_module(f"circletree.{info.name}")
+        caches += [obj for obj in vars(module).values()
+                   if callable(getattr(obj, "cache_info", None))]
+    assert len(caches) >= 5
+    assert all(cache.cache_info().currsize for cache in caches)
+    hopf.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+    assert not hopf._ANTIPODE_CACHE
 
 
 def test_memoization_toggle(monkeypatch):
