@@ -2,13 +2,20 @@
 """The output-feedback group: products, inversion, convolution.
 
 Group elements are identity-shifted series.  The product composes the
-shifted operators; the inverse is obtained coefficient-by-coefficient
-by evaluating coordinate-map antipodes at the series, so the closed
-antipode formula directly powers system inversion.
+shifted operators.  The inverse is the fixed point d = -mod_compose(c, d),
+reached exactly after max_len + 1 rounds.  Evaluating coordinate-map
+antipodes at the series, coefficient by coefficient, gives the same
+inverse: the closed antipode formula powers system inversion too.
 """
 
 from circletree.coordmaps import CoordMap
-from circletree.groupops import Character, convolve, group_inverse, group_product
+from circletree.groupops import (
+    Character,
+    antipode_inverse,
+    convolve,
+    group_inverse,
+    group_product,
+)
 from circletree.series import Series, format_series
 
 c = Series(2, 2, 4, {(1, (2,)): 1})
@@ -25,6 +32,8 @@ print("\ninverse of c:")
 print(format_series(inv))
 assert group_product(c, inv).is_zero() and group_product(inv, c).is_zero()
 print("c (.) c^{-1} = 0 = c^{-1} (.) c, exactly, up to length 4.")
+assert antipode_inverse(c) == inv
+print("antipode evaluation gives the same inverse.")
 
 value = convolve(Character(c), Character(d), CoordMap(1, (0, 1)))
 print(f"\ncharacter convolution on a[1;0.1]: {value} "

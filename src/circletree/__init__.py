@@ -4,6 +4,7 @@ its coordinate-map twin, and the output-feedback group of series."""
 from .coordmaps import CoordMap, antipode as coord_antipode, full_delta, tilde_delta
 from .groupops import (
     Character,
+    antipode_inverse,
     compose,
     convolve,
     group_inverse,
@@ -37,7 +38,7 @@ from .words import concat, letter_weight, shuffle, word_degree
 
 __all__ = [
     "CoordMap", "coord_antipode", "full_delta", "tilde_delta",
-    "Character", "compose", "convolve", "group_inverse", "group_product",
+    "Character", "antipode_inverse", "compose", "convolve", "group_inverse", "group_product",
     "hat_compose", "inf_char", "mod_compose",
     "antipode", "antipode_forest", "antipode_recursive", "antipode_stats",
     "coproduct", "linearized_coproduct", "reduced_coproduct",

@@ -134,16 +134,22 @@ def check_copre_lie(max_degree: int, m: int) -> int:
     return count
 
 
-def check_prelie_identity(max_degree: int, m: int, random_trials: int = 0,
-                          random_degree: int = 6, seed: int = 2024) -> int:
+def _triples(max_degree: int, m: int, random_trials: int, random_degree: int,
+             seed: int) -> list:
+    """Every triple of generators up to max_degree, then seeded random ones."""
     gens = list(iter_rcts(max_degree, m))
     triples = [(a, b, c) for a in gens for b in gens for c in gens]
     if random_trials:
         pool = list(iter_rcts(random_degree, m))
         rng = random.Random(seed)
         triples += [tuple(rng.choice(pool) for _ in range(3)) for _ in range(random_trials)]
+    return triples
+
+
+def check_prelie_identity(max_degree: int, m: int, random_trials: int = 0,
+                          random_degree: int = 6, seed: int = 2024) -> int:
     count = 0
-    for a, b, c in triples:
+    for a, b, c in _triples(max_degree, m, random_trials, random_degree, seed):
         ab = prelie.prelie_product(a, b)
         ac = prelie.prelie_product(a, c)
         bc = prelie.prelie_product(b, c)
@@ -159,18 +165,11 @@ def check_prelie_identity(max_degree: int, m: int, random_trials: int = 0,
 
 def check_jacobi(max_degree: int, m: int, random_trials: int = 0,
                  random_degree: int = 6, seed: int = 4048) -> int:
-    gens = list(iter_rcts(max_degree, m))
-    triples = [(a, b, c) for a in gens for b in gens for c in gens]
-    if random_trials:
-        pool = list(iter_rcts(random_degree, m))
-        rng = random.Random(seed)
-        triples += [tuple(rng.choice(pool) for _ in range(3)) for _ in range(random_trials)]
-
     def bracket_combs(p: LinComb, q: LinComb) -> LinComb:
         return prelie.prelie_combs(p, q) - prelie.prelie_combs(q, p)
 
     count = 0
-    for a, b, c in triples:
+    for a, b, c in _triples(max_degree, m, random_trials, random_degree, seed):
         pa, pb, pc = (LinComb.single(x, 1) for x in (a, b, c))
         total = bracket_combs(pa, bracket_combs(pb, pc)) \
             + bracket_combs(pb, bracket_combs(pc, pa)) \
@@ -300,6 +299,8 @@ def check_group_axioms(trials: int = 20, m: int = 2, max_len: int = 4,
         inv = groupops.group_inverse(c)
         assert groupops.group_product(c, inv).is_zero(), f"right inverse fails on trial {trial}"
         assert groupops.group_product(inv, c).is_zero(), f"left inverse fails on trial {trial}"
+        assert inv.coeffs == groupops.antipode_inverse(c).coeffs, \
+            f"fixed-point and antipode inverses differ on trial {trial}"
     return trials
 
 

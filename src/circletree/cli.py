@@ -82,7 +82,8 @@ def _add_series_io(parser, two_inputs=True):
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--ell", type=int, default=None)
     parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--maxlen", type=int, default=None)
+    parser.add_argument("--maxlen", type=int, default=None,
+                        help="word-length truncation (invert: length of the inverse)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,13 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_series_io(p)
 
-    p = sub.add_parser("invert", help="feedback group inverse")
-    p.add_argument("inputs", nargs=1, help="series file, '-' for stdin")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--maxlen", type=int, default=None,
-                   help="word length up to which the inverse is computed")
+    p = sub.add_parser(
+        "invert", help="feedback group inverse (fixed point of d = -mod_compose(c, d))")
+    _add_series_io(p, two_inputs=False)
 
     p = sub.add_parser("convolve", help="character convolution on one coordinate map")
     _add_series_io(p)

@@ -8,9 +8,10 @@ Four products, all exact and all closed under length truncation:
 * group_product: both factors shifted -- the feedback group product.
 
 The cascade homomorphism treats the integrator channel of the right
-factor as the constant 1; the modified one treats it as 0.  Group
-inversion evaluates coordinate-map antipodes at the series, which is
-what makes the closed antipode formula practically useful.
+factor as the constant 1; the modified one treats it as 0.  Each word is
+folded on ints scaled by common denominators.  Group inversion iterates
+the fixed point d = -mod_compose(c, d); antipode evaluation, the paper's
+route, is kept as the reference `antipode_inverse`.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .coordmaps import CoordMap, antipode, full_delta
-from .lincomb import LinComb, as_fraction
-from .series import Series, add, from_channel_polys
-from .words import shuffle_polys
-
-_UNIT_POLY = LinComb({(): 1})
+from .lincomb import LinComb, as_fraction, scale_to_ints
+from .series import Series, add, zero_series
+from .words import shuffle_ints
 
 
 def _require_composable(c: Series, d: Series) -> None:
@@ -34,21 +33,25 @@ def _require_composable(c: Series, d: Series) -> None:
         raise ValueError(f"alphabet mismatch: left m={c.m}, right m={d.m}")
 
 
-def _fold_word(word, d_polys, max_len: int, modified: bool) -> LinComb:
-    """Image of one word under the (modified) cascade homomorphism, applied to 1."""
-    acc = _UNIT_POLY
+def _fold_word(word, d_ints: dict, den: int, max_len: int, modified: bool) -> dict:
+    """den**len(word) times the image of one word under the (modified) cascade
+    homomorphism applied to 1; d_ints[i] is den times channel i of the right factor.
+
+    A prepend multiplies by den; a shuffle with den * d_i carries its own.
+    Shuffled words start with the integrator letter, which never prepends
+    where a shuffle happens, so the two parts never share a word.
+    """
+    acc = {(): 1}
     for letter in reversed(word):
-        out = LinComb()
         if modified:
-            for w, coeff in acc.items():
-                if len(w) + 1 <= max_len:
-                    out.add_term((letter,) + w, coeff)
-            d_i = d_polys.get(letter) if letter != 0 else None  # integrator channel is 0
+            out = {(letter,) + w: den * coeff for w, coeff in acc.items() if len(w) < max_len}
+            d_i = d_ints.get(letter)  # the integrator channel is 0: no key 0
         else:
-            d_i = d_polys.get(letter) if letter != 0 else _UNIT_POLY
+            out = {}
+            d_i = d_ints.get(letter) if letter != 0 else {(): den}
         if d_i:
-            for w, coeff in shuffle_polys(d_i, acc, max_len - 1).items():
-                out.add_term((0,) + w, coeff)
+            for w, coeff in shuffle_ints(d_i, acc, max_len - 1).items():
+                out[(0,) + w] = coeff
         acc = out
         if not acc:
             break
@@ -58,22 +61,27 @@ def _fold_word(word, d_polys, max_len: int, modified: bool) -> LinComb:
 def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None) -> Series:
     _require_composable(c, d)
     length = min(c.max_len, d.max_len) if max_len is None else max_len
-    d_polys = {
-        ch: LinComb({w: v for w, v in d.channel_poly(ch).items() if len(w) <= length})
-        for ch in range(1, d.m + 1)
-    }
-    cache: dict = {}
-    channels = []
-    for ch in range(1, c.ell + 1):
-        poly = LinComb()
-        for word, coeff in c.channel_poly(ch).items():
-            image = cache.get(word)
-            if image is None:
-                image = _fold_word(word, d_polys, length, modified)
-                cache[word] = image
-            poly.add_comb(image, coeff)
-        channels.append(poly)
-    return from_channel_polys(channels, c.m, length)
+    scaled_d, den = scale_to_ints(
+        {key: v for key, v in d.coeffs.items() if len(key[1]) <= length})
+    d_ints = {ch: {w: v for (i, w), v in scaled_d.items() if i == ch}
+              for ch in range(1, d.m + 1)}
+    # every word of length n <= length is scaled by den**(length - n) on top of
+    # its den**n, so each channel sums over the one denominator c_den * den**length
+    scaled_c, c_den = scale_to_ints(c.coeffs)
+    images: dict = {}
+    totals: dict = {}
+    for (ch, word), coeff in scaled_c.items():
+        if len(word) > length:
+            continue  # its image has only longer words
+        image = images.get(word)
+        if image is None:
+            image = images[word] = _fold_word(word, d_ints, den, length, modified)
+        scale = coeff * den ** (length - len(word))
+        for w, k in image.items():
+            totals[ch, w] = totals.get((ch, w), 0) + scale * k
+    out_den = c_den * den ** length
+    return Series(c.ell, c.m, length,
+                  {key: Fraction(k, out_den) for key, k in totals.items() if k})
 
 
 def compose(c: Series, d: Series, max_len: int | None = None) -> Series:
@@ -141,24 +149,44 @@ class Character:
         return total
 
 
-def group_inverse(c: Series, max_len: int | None = None) -> Series:
-    """Series part of the group inverse: coefficients are antipode evaluations."""
+def _inverse_length(c: Series, max_len: int | None) -> int:
     if c.ell != c.m:
         raise ValueError("group elements must be square (ell == m)")
     length = c.max_len if max_len is None else max_len
     if length > c.max_len:
         raise ValueError(
             f"cannot invert to length {length} from a series truncated at {c.max_len}")
-    phi = Character(c)
-    m = c.m
-    coeffs: dict = {}
-    for channel in range(1, m + 1):
-        for n in range(length + 1):
-            for word in iter_product(range(m + 1), repeat=n):
-                value = phi(antipode(CoordMap(channel, word), m))
-                if value:
-                    coeffs[(channel, word)] = value
-    return Series(m, m, length, coeffs)
+    return length
+
+
+def group_inverse(c: Series, max_len: int | None = None) -> Series:
+    """Series part of the group inverse: the fixed point of d = -mod_compose(c, d).
+
+    c (.) d = d + mod_compose(c, d) vanishes there (Gray & Li 2005).  Length-n
+    words of mod_compose(c, d) read d only below length n, so each round from
+    zero fixes one more length: length + 1 rounds are exact, at a cost set by
+    the support of c (truncated to the target length first).
+    """
+    length = _inverse_length(c, max_len)
+    c = c.truncated(length)
+    d = zero_series(c.m, c.m, length)
+    for _ in range(length + 1):
+        d = -mod_compose(c, d, length)
+    return d
+
+
+def antipode_inverse(c: Series, max_len: int | None = None) -> Series:
+    """Series part of the group inverse by antipode evaluation: the paper's route.
+
+    Coefficient (i, word) is the coordinate-map antipode of a[i;word] evaluated
+    at c (Gray & Duffaut Espinosa 2011), over all (m+1)^n words of each length
+    n.  Kept as the reference that `group_inverse` is checked against.
+    """
+    length = _inverse_length(c, max_len)
+    phi, m = Character(c), c.m
+    words = (word for n in range(length + 1) for word in iter_product(range(m + 1), repeat=n))
+    return Series(m, m, length, {(channel, word): phi(antipode(CoordMap(channel, word), m))
+                                 for word in words for channel in range(1, m + 1)})
 
 
 def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:

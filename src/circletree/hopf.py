@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from . import coordmaps, words
+from . import coordmaps, prelie, words
 from .lincomb import LinComb, counit, format_rational, mono_mul, mono_sort_key, poly_mul
 from .trees import (
     Extraction,
@@ -143,7 +143,7 @@ def clear_caches() -> None:
     """Empty every memo table of the package, e.g. to time a cold run."""
     _ANTIPODE_CACHE.clear()
     for cached in (_proper_items, _generated_count, coordmaps._tilde_items,
-                   coordmaps._antipode_mono, words._shuffle_items):
+                   coordmaps._antipode_mono, prelie._prelie_items, words._shuffle_items):
         cached.cache_clear()
 
 

@@ -10,6 +10,7 @@ dicts exactly when they are equal as algebraic elements.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class LinComb(dict):
@@ -101,6 +102,12 @@ def mono_sort_key(mono: tuple):
 
 def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def scale_to_ints(coeffs: dict) -> tuple[dict, int]:
+    """(D * coeffs, D) for the least D that makes every int/Fraction coefficient an int."""
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}, den
 
 
 def format_rational(value) -> str:

@@ -55,30 +55,8 @@ def _cumtrapz(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def iterated_integral(word: Word, u: Signal) -> np.ndarray:
-    """Iterated integral of a word against the signal, sampled on the grid."""
-    h = float(u.grid[1] - u.grid[0]) if u.grid.size > 1 else 0.0
-    ones = np.ones_like(u.grid)
-
-    cache: dict[Word, np.ndarray] = {(): ones}
-
-    def rec(w: Word) -> np.ndarray:
-        hit = cache.get(w)
-        if hit is not None:
-            return hit
-        letter, rest = w[0], w[1:]
-        track = ones if letter == 0 else u.values[letter - 1]
-        val = _cumtrapz(track * rec(rest), h)
-        cache[w] = val
-        return val
-
-    return rec(tuple(word))
-
-
-def fliess_eval(c: Series, u: Signal) -> np.ndarray:
-    """Sampled outputs of the operator with generating series c; shape (ell, N+1)."""
-    if u.m < c.m:
-        raise ValueError(f"signal has {u.m} channels, series needs {c.m}")
+def _integrals(u: Signal):
+    """Memoized iterated integral of each word against the signal."""
     h = float(u.grid[1] - u.grid[0]) if u.grid.size > 1 else 0.0
     ones = np.ones_like(u.grid)
     cache: dict[Word, np.ndarray] = {(): ones}
@@ -93,6 +71,19 @@ def fliess_eval(c: Series, u: Signal) -> np.ndarray:
         cache[w] = val
         return val
 
+    return integral
+
+
+def iterated_integral(word: Word, u: Signal) -> np.ndarray:
+    """Iterated integral of a word against the signal, sampled on the grid."""
+    return _integrals(u)(tuple(word))
+
+
+def fliess_eval(c: Series, u: Signal) -> np.ndarray:
+    """Sampled outputs of the operator with generating series c; shape (ell, N+1)."""
+    if u.m < c.m:
+        raise ValueError(f"signal has {u.m} channels, series needs {c.m}")
+    integral = _integrals(u)
     out = np.zeros((c.ell, u.grid.shape[0]))
     for (channel, word), coeff in c.coeffs.items():
         out[channel - 1] += float(coeff) * integral(word)

@@ -10,13 +10,15 @@ single-subset part of the coproduct.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .lincomb import LinComb
 from .trees import Rct
 from .words import shuffle
 
 
-def prelie_product(c: Rct, d: Rct) -> LinComb:
-    """Sum of insertions of d into c, as a LinComb over single trees."""
+@lru_cache(maxsize=None)
+def _prelie_items(c: Rct, d: Rct) -> tuple[tuple[Rct, int], ...]:
     out = LinComb()
     word = c.word
     for idx, letter in enumerate(word):
@@ -25,7 +27,12 @@ def prelie_product(c: Rct, d: Rct) -> LinComb:
         prefix = word[:idx] + (0,)
         for tail, mult in shuffle(word[idx + 1:], d.word).items():
             out.add_term(Rct(c.root, prefix + tail), mult)
-    return out
+    return tuple(out.items())
+
+
+def prelie_product(c: Rct, d: Rct) -> LinComb:
+    """Sum of insertions of d into c, as a LinComb over single trees."""
+    return LinComb(_prelie_items(c, d))
 
 
 def prelie_combs(p: LinComb, q: LinComb) -> LinComb:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lincomb import LinComb, as_fraction, format_rational, parse_rational
-from .words import Word, format_word, parse_word
+from .words import Word, format_word, parse_word, shuffle_polys
 
 
 @dataclass(frozen=True)
@@ -95,25 +95,15 @@ def _require_same_shape(a: Series, b: Series) -> None:
 def add(a: Series, b: Series) -> Series:
     _require_same_shape(a, b)
     max_len = min(a.max_len, b.max_len)
-    coeffs: dict = {}
-    for key, value in a.coeffs.items():
-        if len(key[1]) <= max_len:
-            coeffs[key] = value
+    coeffs = {key: value for key, value in a.coeffs.items() if len(key[1]) <= max_len}
     for key, value in b.coeffs.items():
-        if len(key[1]) > max_len:
-            continue
-        total = coeffs.get(key, Fraction(0)) + value
-        if total:
-            coeffs[key] = total
-        else:
-            coeffs.pop(key, None)
-    return Series(a.ell, a.m, max_len, coeffs)
+        if len(key[1]) <= max_len:
+            coeffs[key] = coeffs.get(key, 0) + value
+    return Series(a.ell, a.m, max_len, coeffs)  # the constructor drops zeros
 
 
 def shuffle_product(a: Series, b: Series) -> Series:
     """Channel-wise shuffle; the series-level product of parallel systems."""
-    from .words import shuffle_polys
-
     _require_same_shape(a, b)
     max_len = min(a.max_len, b.max_len)
     polys = [

@@ -8,9 +8,10 @@ other letter weight 1.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
-from .lincomb import LinComb
+from .lincomb import LinComb, scale_to_ints
 
 Word = tuple[int, ...]
 
@@ -49,17 +50,32 @@ def shuffle(u: Word, v: Word) -> LinComb:
     return LinComb(_shuffle_items(tuple(u), tuple(v)))
 
 
-def shuffle_polys(p: LinComb, q: LinComb, max_len: int | None = None) -> LinComb:
-    """Bilinear shuffle of two word polynomials, dropping words longer than max_len."""
-    out = LinComb()
+def shuffle_ints(p: dict, q: dict, max_len: int | None = None) -> dict:
+    """Bilinear shuffle of two int-coefficient word dicts, zeros dropped: the kernel."""
+    out: dict = {}
+    get = out.get
+    limit = float("inf") if max_len is None else max_len
+    by_len = sorted(q.items(), key=lambda item: len(item[0]))
     for u, a in p.items():
-        for v, b in q.items():
-            if max_len is not None and len(u) + len(v) > max_len:
-                continue
+        room = limit - len(u)
+        for v, b in by_len:
+            if len(v) > room:
+                break
             ab = a * b
             for word, mult in _shuffle_items(u, v):
-                out.add_term(word, ab * mult)
-    return out
+                out[word] = get(word, 0) + ab * mult
+    return {word: coeff for word, coeff in out.items() if coeff}
+
+
+def shuffle_polys(p: LinComb, q: LinComb, max_len: int | None = None) -> LinComb:
+    """Bilinear shuffle of two word polynomials, dropping words longer than max_len."""
+    p_ints, p_den = scale_to_ints(p)
+    q_ints, q_den = scale_to_ints(q)
+    den = p_den * q_den
+    out = shuffle_ints(p_ints, q_ints, max_len)
+    if den == 1:
+        return LinComb(out)
+    return LinComb({word: Fraction(coeff, den) for word, coeff in out.items()})
 
 
 def format_word(word: Word) -> str:

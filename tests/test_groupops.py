@@ -8,6 +8,7 @@ from circletree import checks
 from circletree.coordmaps import CoordMap, reduced_delta
 from circletree.groupops import (
     Character,
+    antipode_inverse,
     compose,
     convolve,
     group_inverse,
@@ -159,11 +160,14 @@ def test_group_axioms_randomized():
 
 
 # ---------------------------------------------------------------------------
-# inversion via antipode evaluation
+# inversion: fixed point by default, antipode evaluation as the reference
+
+INVERSES = (group_inverse, antipode_inverse)
 
 
 def test_inverse_of_zero():
-    assert group_inverse(zero_series(2, 2, 3)).is_zero()
+    for invert in INVERSES:
+        assert invert(zero_series(2, 2, 3)).is_zero()
 
 
 def test_inverse_low_order_coefficients():
@@ -184,12 +188,27 @@ def test_inverse_cancels_in_the_group():
     inv = group_inverse(c)
     assert group_product(c, inv).is_zero()
     assert group_product(inv, c).is_zero()
+    assert inv.coeffs == antipode_inverse(c).coeffs
+
+
+def test_inverse_to_a_shorter_length_is_the_truncated_inverse():
+    rng = random.Random(5)
+    for _ in range(4):
+        c = rand_series(rng, 2, 2, 4, word_len=4)
+        full = group_inverse(c).truncated(2)
+        for invert in INVERSES:
+            short = invert(c, max_len=2)
+            assert short.max_len == 2
+            assert short.coeffs == full.coeffs, invert.__name__
 
 
 def test_inverse_needs_enough_truncation():
     c = Series(2, 2, 2, {(1, (2,)): 1})
-    with pytest.raises(ValueError):
-        group_inverse(c, max_len=3)
+    for invert in INVERSES:
+        with pytest.raises(ValueError):
+            invert(c, max_len=3)
+        with pytest.raises(ValueError):
+            invert(Series(1, 2, 2, {}))
 
 
 # ---------------------------------------------------------------------------

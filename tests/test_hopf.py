@@ -18,6 +18,7 @@ from circletree.hopf import (
     reduced_coproduct,
 )
 from circletree.lincomb import LinComb
+from circletree.prelie import prelie_product
 from circletree.trees import Rct, iter_general_families, iter_rcts
 from circletree.words import shuffle
 
@@ -203,6 +204,7 @@ def test_clear_caches_empties_every_memo_table():
     antipode_stats(c, 2)
     coordmaps.antipode_poly(coordmaps.tree_poly_to_coord(LinComb({(c,): 1})), 2, "left")
     shuffle((0, 1), (2,))
+    prelie_product(c, Rct(1, (2,)))
     caches = []
     for info in pkgutil.iter_modules(circletree.__path__):
         module = importlib.import_module(f"circletree.{info.name}")

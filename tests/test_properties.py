@@ -1,0 +1,90 @@
+"""Property tests (hypothesis) on the series-level identities.
+
+They add to the seeded random trials of the other test files.  The
+settings are fixed and derandomized, so every run draws the same
+examples and stays deterministic.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circletree.groupops import antipode_inverse, group_inverse, group_product
+from circletree.lincomb import LinComb
+from circletree.series import Series
+from circletree.words import shuffle, shuffle_polys
+
+FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+# int or Fraction, mixed denominators, signs both ways so that terms cancel
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+).filter(bool)
+
+
+def words(max_letter: int, max_len: int):
+    return st.lists(st.integers(0, max_letter), max_size=max_len).map(tuple)
+
+
+def word_polys(max_letter: int = 2, max_len: int = 3):
+    return st.dictionaries(words(max_letter, max_len), coefficients, max_size=5).map(LinComb)
+
+
+def square_series(m: int, length: int):
+    keys = st.tuples(st.integers(1, m), words(m, length))
+    return st.dictionaries(keys, coefficients, max_size=6).map(
+        lambda coeffs: Series(m, m, length, coeffs))
+
+
+def reference_shuffle(p: LinComb, q: LinComb, max_len) -> LinComb:
+    """Term-by-term Fraction expansion through the word shuffle."""
+    out = LinComb()
+    for u, a in p.items():
+        for v, b in q.items():
+            if max_len is not None and len(u) + len(v) > max_len:
+                continue
+            for word, mult in shuffle(u, v).items():
+                out.add_term(word, Fraction(a) * Fraction(b) * mult)
+    return out
+
+
+@FIXED
+@given(word_polys(), word_polys(), st.one_of(st.none(), st.integers(0, 6)))
+def test_shuffle_polys_matches_fraction_reference(p, q, max_len):
+    got = shuffle_polys(p, q, max_len)
+    assert got == reference_shuffle(p, q, max_len)
+    assert all(got.values())
+
+
+@FIXED
+@given(coefficients, st.sampled_from([None, 1, 2]))
+def test_shuffle_polys_drops_cancelled_terms(a, max_len):
+    # (a x1 - a x2) shuffled with (x1 + x2): the words 1.2 and 2.1 cancel
+    p = LinComb({(1,): a, (2,): -a})
+    q = LinComb({(1,): 1, (2,): Fraction(1)})
+    expected = {} if max_len == 1 else {(1, 1): 2 * a, (2, 2): -2 * a}
+    assert shuffle_polys(p, q, max_len) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@settings(FIXED, max_examples=25)
+@given(st.data())
+def test_group_product_is_associative(m, data):
+    length = data.draw(st.integers(0, 4), label="length")
+    c, d, e = (data.draw(square_series(m, length)) for _ in range(3))
+    lhs = group_product(group_product(c, d), e)
+    rhs = group_product(c, group_product(d, e))
+    assert lhs.coeffs == rhs.coeffs
+
+
+@pytest.mark.parametrize("m, length", [(m, n) for m in (1, 2) for n in range(5)])
+@settings(FIXED, max_examples=10)
+@given(st.data())
+def test_fixed_point_inverse_matches_antipode_inverse(m, length, data):
+    c = data.draw(square_series(m, length))
+    inv = group_inverse(c)
+    assert inv.coeffs == antipode_inverse(c).coeffs
+    assert group_product(c, inv).is_zero()
