@@ -298,6 +298,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "numcheck":
+        if args.N < 8:
+            raise CliError(f"--N {args.N} is below 8, the coarsest grid N // 8", PARSE_ERROR)
         from . import numeric  # numpy loads only for the numeric commands
 
         grid_sizes = [args.N // 8, args.N // 4, args.N // 2, args.N]

@@ -18,7 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .lincomb import LinComb, counit, format_rational, mono_mul, mono_sort_key, poly_mul
+from . import lincomb
+from .lincomb import LinComb, format_monomial, mono_mul
 from .trees import Rct
 from .words import Word, format_word, parse_word
 
@@ -97,37 +98,23 @@ def reduced_delta(a: CoordMap, m: int) -> LinComb:
     return out
 
 
-@lru_cache(maxsize=None)
-def _antipode_mono(a: CoordMap, m: int, side: str) -> tuple[tuple[CMono, int], ...]:
-    acc = LinComb.single((a,), -1)
+# (side, m) -> map -> antipode, apart from the tree table of `hopf`
+_ANTIPODE_CACHE: dict[tuple[str, int], dict[CoordMap, LinComb]] = {}
+
+
+def _reduced_items(a: CoordMap, m: int):
     for left, right, coeff in _tilde_items(a.channel, a.word, m):
-        if left == a and not right:
-            continue  # the left-primitive part is not in the reduced coproduct
-        if side == "left":
-            for mono, k in _antipode_mono(left, m, side):
-                acc.add_term(mono_mul(mono, right), -coeff * k)
-        else:
-            prod = LinComb.single((left,), 1)
-            for factor in right:
-                prod = poly_mul(prod, LinComb(dict(_antipode_mono(factor, m, side))))
-            acc.add_comb(prod, -coeff)
-    return tuple(acc.items())
+        if right or left != a:  # the left-primitive part is not in the reduced coproduct
+            yield left, right, coeff
 
 
 def antipode(a: CoordMap, m: int, side: str = "right") -> LinComb:
-    if side not in {"left", "right"}:
-        raise ValueError(f"side must be left or right, got {side!r}")
-    return LinComb(dict(_antipode_mono(a, m, side)))
+    memo = _ANTIPODE_CACHE.setdefault((side, m), {})
+    return LinComb(lincomb.recursive_antipode(a, lambda x: _reduced_items(x, m), side, memo))
 
 
 def antipode_poly(p: LinComb, m: int, side: str = "right") -> LinComb:
-    out = LinComb()
-    for mono, coeff in p.items():
-        acc = LinComb.single(UNIT, 1)
-        for factor in mono:
-            acc = poly_mul(acc, antipode(factor, m, side))
-        out.add_comb(acc, coeff)
-    return out
+    return lincomb.antipode_poly(p, lambda a: antipode(a, m, side))
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +162,8 @@ def parse_coord_map(text: str, m: int | None = None) -> CoordMap:
 
 
 def format_cmono(mono: CMono) -> str:
-    if not mono:
-        return "1"
-    return "*".join(format_coord_map(a) for a in mono)
+    return format_monomial(mono, format_coord_map)
 
 
 def format_poly(p: LinComb) -> str:
-    lines = [
-        f"{format_cmono(mono)} {format_rational(p[mono])}"
-        for mono in sorted(p, key=mono_sort_key)
-    ]
-    return "\n".join(lines) if lines else "0"
+    return lincomb.format_poly(p, format_coord_map)

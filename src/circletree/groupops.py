@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .coordmaps import CoordMap, antipode, full_delta
+from .coordmaps import CoordMap, antipode, format_coord_map, full_delta
 from .lincomb import LinComb, as_fraction, scale_to_ints
 from .series import Series, add, zero_series
 from .words import shuffle_ints
@@ -153,6 +153,8 @@ def _inverse_length(c: Series, max_len: int | None) -> int:
     if c.ell != c.m:
         raise ValueError("group elements must be square (ell == m)")
     length = c.max_len if max_len is None else max_len
+    if length < 0:
+        raise ValueError(f"cannot invert to the negative length {length}")
     if length > c.max_len:
         raise ValueError(
             f"cannot invert to length {length} from a series truncated at {c.max_len}")
@@ -194,6 +196,8 @@ def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:
     m = phi.series.m
     if psi.series.m != m:
         raise ValueError("characters live over different alphabets")
+    if any(letter > m for letter in a.word):
+        raise ValueError(f"coordinate map {format_coord_map(a)} has a letter above m={m}")
     total = Fraction(0)
     for (left, right), coeff in full_delta(a, m).items():
         value = phi.eval_monomial(left)

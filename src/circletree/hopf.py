@@ -16,24 +16,23 @@ three ways:
   and labelling, never mixing signs on a monomial: the oracle of the
   recursions and the route of the forest statistics.
 
-Memoization of the recursions is on by default; set CIRCLETREE_MEMO=off
-(or pass memoize=False) to force the raw expansion, e.g. to time it.
+Both recursions run on `lincomb.recursive_antipode`, shared with the
+coordinate-map algebra.  They are memoized; pass memoize=False to force
+the raw expansion, e.g. to time it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from . import coordmaps, prelie, words
-from .lincomb import LinComb, counit, format_rational, mono_mul, mono_sort_key, poly_mul
+from . import coordmaps, lincomb, prelie, words
+from .lincomb import LinComb, counit, format_monomial, format_rational, mono_mul, mono_sort_key
 from .trees import (
     Extraction,
     Rct,
-    admissible_subsets,
     bit_indices,
     degree,
     format_rct,
@@ -61,21 +60,21 @@ def tensor_mul(s: LinComb, t: LinComb) -> LinComb:
 
 
 @lru_cache(maxsize=None)
-def _proper_items(c: Rct, m: int) -> tuple[tuple[Rct, Monomial], ...]:
-    """Quotient/sub-tree pairs of all proper admissible extractions, labels expanded."""
+def _proper_items(c: Rct, m: int) -> tuple[tuple[Rct, Monomial, int], ...]:
+    """(quotient, sub-trees, 1) of every proper admissible extraction, labels expanded."""
     word = c.word
-    out: list[tuple[Rct, Monomial]] = []
+    out: list[tuple[Rct, Monomial, int]] = []
     for family, labels, qword in labelled_extractions(word, (1 << len(word)) - 1, m)[1:]:
         rest = tuple(sorted(
             Rct(label, tuple(word[i] for i in bit_indices(block)[1:]))
             for block, label in zip(family, labels)))
-        out.append((Rct(c.root, qword), rest))
+        out.append((Rct(c.root, qword), rest, 1))
     return tuple(out)
 
 
 def reduced_coproduct(c: Rct, m: int) -> LinComb:
     out = LinComb()
-    for q, rest in _proper_items(c, m):
+    for q, rest, _ in _proper_items(c, m):
         out.add_term(((q,), rest), 1)
     return out
 
@@ -91,11 +90,9 @@ def coproduct(c: Rct, m: int) -> LinComb:
 def linearized_coproduct(c: Rct, m: int) -> LinComb:
     """Single-subset part of the coproduct; both legs are single trees."""
     out = LinComb()
-    for subset in admissible_subsets(c):
-        for label in range(1, m + 1):
-            q = quotient(c, [subset], [label], m)
-            r = restrict(c, subset, label, m)
-            out.add_term(((q,), (r,)), 1)
+    for q, rest, _ in _proper_items(c, m):
+        if len(rest) == 1:
+            out.add_term(((q,), rest), 1)
     return out
 
 
@@ -130,59 +127,26 @@ def extraction_term(c: Rct, extraction: Extraction, labels, m: int) -> tuple[Mon
 # recursive antipodes
 
 
-def _memo_enabled(override: bool | None) -> bool:
-    if override is not None:
-        return override
-    return os.environ.get("CIRCLETREE_MEMO", "").strip().lower() not in {"off", "0", "false"}
-
-
-_ANTIPODE_CACHE: dict[tuple, LinComb] = {}
+# (side, m) -> tree -> antipode; not shared with coordmaps, whose maps compare equal to trees
+_ANTIPODE_CACHE: dict[tuple[str, int], dict[Rct, LinComb]] = {}
 
 
 def clear_caches() -> None:
     """Empty every memo table of the package, e.g. to time a cold run."""
     _ANTIPODE_CACHE.clear()
+    coordmaps._ANTIPODE_CACHE.clear()
     for cached in (_proper_items, _generated_count, coordmaps._tilde_items,
-                   coordmaps._antipode_mono, prelie._prelie_items, words._shuffle_items):
+                   prelie._prelie_items, words._shuffle_items):
         cached.cache_clear()
 
 
-def _antipode_dict(c: Rct, m: int, side: str, use_memo: bool) -> LinComb:
-    key = (side, m, c)
-    if use_memo:
-        hit = _ANTIPODE_CACHE.get(key)
-        if hit is not None:
-            return hit
-    acc = LinComb({(c,): -1})
-    for q, rest in _proper_items(c, m):
-        if side == "left":
-            for mono, coeff in _antipode_dict(q, m, side, use_memo).items():
-                acc.add_term(mono_mul(mono, rest), -coeff)
-        else:
-            prod = LinComb({(q,): 1})
-            for r in rest:
-                prod = poly_mul(prod, _antipode_dict(r, m, side, use_memo))
-            acc.add_comb(prod, -1)
-    if use_memo:
-        _ANTIPODE_CACHE[key] = acc
-    return acc
-
-
-def antipode_recursive(c: Rct, m: int, side: str = "right", memoize: bool | None = None) -> LinComb:
-    if side not in {"left", "right"}:
-        raise ValueError(f"side must be left or right, got {side!r}")
-    return LinComb(_antipode_dict(c, m, side, _memo_enabled(memoize)))
+def antipode_recursive(c: Rct, m: int, side: str = "right", memoize: bool = True) -> LinComb:
+    memo = _ANTIPODE_CACHE.setdefault((side, m), {}) if memoize else None
+    return LinComb(lincomb.recursive_antipode(c, lambda x: _proper_items(x, m), side, memo))
 
 
 def antipode_poly(p: LinComb, m: int, method: str = "right") -> LinComb:
-    """Antipode extended multiplicatively to monomials, linearly to polynomials."""
-    out = LinComb()
-    for mono, coeff in p.items():
-        acc = LinComb.single(UNIT, 1)
-        for factor in mono:
-            acc = poly_mul(acc, antipode(factor, m, method))
-        out.add_comb(acc, coeff)
-    return out
+    return lincomb.antipode_poly(p, lambda c: antipode(c, m, method))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +191,7 @@ def antipode_forest(c: Rct, m: int) -> LinComb:
     return out
 
 
-def antipode(c: Rct, m: int, method: str = "right", memoize: bool | None = None) -> LinComb:
+def antipode(c: Rct, m: int, method: str = "right", memoize: bool = True) -> LinComb:
     if method == "forest":
         return antipode_forest(c, m)
     return antipode_recursive(c, m, method, memoize)
@@ -275,24 +239,15 @@ def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecor
 # text output
 
 
-def format_monomial(mono: Monomial) -> str:
-    if not mono:
-        return "1"
-    return "*".join(format_rct(c) for c in mono)
-
-
 def format_poly(p: LinComb) -> str:
-    lines = [
-        f"{format_monomial(mono)} {format_rational(p[mono])}"
-        for mono in sorted(p, key=mono_sort_key)
-    ]
-    return "\n".join(lines) if lines else "0"
+    return lincomb.format_poly(p, format_rct)
 
 
 def format_tensor(t: LinComb) -> str:
     keys = sorted(t, key=lambda lr: (mono_sort_key(lr[0]), mono_sort_key(lr[1])))
     lines = [
-        f"{format_monomial(left)} | {format_monomial(right)} {format_rational(t[(left, right)])}"
+        f"{format_monomial(left, format_rct)} | {format_monomial(right, format_rct)} "
+        f"{format_rational(t[(left, right)])}"
         for left, right in keys
     ]
     return "\n".join(lines) if lines else "0"

@@ -100,6 +100,57 @@ def mono_sort_key(mono: tuple):
     return (len(mono), mono)
 
 
+def recursive_antipode(x, reduced, side: str, memo: dict | None) -> LinComb:
+    """S(x) = -x - sum S(l) r (left) or -x - sum l S(r_1)...S(r_n) (right) over
+    the (l, r, coeff) terms `reduced(x)` yields of the reduced coproduct of x.
+    `memo` holds the antipodes of one algebra, side and m (None: raw expansion);
+    its values are shared, so callers copy them."""
+    if memo is not None:
+        hit = memo.get(x)
+        if hit is not None:
+            return hit
+    if side not in {"left", "right"}:
+        raise ValueError(f"side must be left or right, got {side!r}")
+    acc = LinComb({(x,): -1})
+    for left, right, coeff in reduced(x):
+        if side == "left":
+            for mono, k in recursive_antipode(left, reduced, side, memo).items():
+                acc.add_term(mono_mul(mono, right), -coeff * k)
+        else:
+            prod = LinComb({(left,): 1})
+            for factor in right:
+                prod = poly_mul(prod, recursive_antipode(factor, reduced, side, memo))
+            acc.add_comb(prod, -coeff)
+    if memo is not None:
+        memo[x] = acc
+    return acc
+
+
+def antipode_poly(p: LinComb, antipode_of) -> LinComb:
+    """Antipode extended multiplicatively to monomials, linearly to polynomials;
+    `antipode_of` gives the antipode of one generator."""
+    out = LinComb()
+    for mono, coeff in p.items():
+        acc = LinComb.single((), 1)
+        for factor in mono:
+            acc = poly_mul(acc, antipode_of(factor))
+        out.add_comb(acc, coeff)
+    return out
+
+
+def format_monomial(mono: tuple, format_factor) -> str:
+    return "*".join(map(format_factor, mono)) if mono else "1"
+
+
+def format_poly(p: LinComb, format_factor) -> str:
+    """One `monomial coefficient` line per term in canonical order; `0` if empty."""
+    lines = [
+        f"{format_monomial(mono, format_factor)} {format_rational(p[mono])}"
+        for mono in sorted(p, key=mono_sort_key)
+    ]
+    return "\n".join(lines) if lines else "0"
+
+
 def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 

@@ -143,6 +143,9 @@ def test_invert_command(tmp_path, capsys):
                            "--ell", "2", "--m", "2", "--maxlen", "3")
     assert code == 0
     assert "1 1 -1" in out.splitlines()
+    code, out, err = run_cli(capsys, "invert", str(a), "--maxlen", "-1")
+    assert (code, out) == (3, "")
+    assert "negative length" in err
 
 
 def test_convolve_command(tmp_path, capsys):
@@ -157,12 +160,30 @@ def test_convolve_command(tmp_path, capsys):
     assert out.strip() == "1"
 
 
+def test_convolve_rejects_a_map_outside_the_alphabet(tmp_path, capsys):
+    sq = tmp_path / "sq.series"
+    sq.write_text("1 e 2\n1 0 1\n")  # m inferred as 1
+    code, out, err = run_cli(capsys, "convolve", str(sq), str(sq), "--coordmap", "a[1;5]")
+    assert (code, out) == (3, "")
+    assert "above m=1" in err
+
+
 def test_numcheck_command(capsys):
     code, out, _ = run_cli(capsys, "numcheck", "--kind", "shuffle", "--N", "400")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "kind,case,N,deviation"
     assert lines[-1].startswith("max deviation at N=400:")
+
+
+def test_numcheck_needs_at_least_eight_intervals(capsys):
+    for n in ("-1", "0", "7"):
+        code, out, err = run_cli(capsys, "numcheck", "--kind", "shuffle", "--N", n)
+        assert (code, out) == (2, "")
+        assert "below 8" in err
+    code, out, _ = run_cli(capsys, "numcheck", "--kind", "shuffle", "--N", "8")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("max deviation at N=8:")
 
 
 def test_axioms_command(capsys):
@@ -194,10 +215,3 @@ def test_semantic_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "group", str(a), str(b))
     assert code == 3
     assert "error:" in err
-
-
-def test_memo_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CIRCLETREE_MEMO", "off")
-    code, out, _ = run_cli(capsys, "antipode", "--rct", "1:0.0", "--m", "1")
-    assert code == 0
-    assert len(out.splitlines()) == 6

@@ -209,6 +209,8 @@ def test_inverse_needs_enough_truncation():
             invert(c, max_len=3)
         with pytest.raises(ValueError):
             invert(Series(1, 2, 2, {}))
+        with pytest.raises(ValueError):
+            invert(c, max_len=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +241,12 @@ def test_convolve_worked_example():
     c = Series(2, 2, 4, {(1, (2,)): 1})
     d = Series(2, 2, 4, {(2, (1,)): 1})
     assert convolve(Character(c), Character(d), CoordMap(1, (0, 1))) == 1
+
+
+def test_convolve_rejects_letters_above_the_alphabet():
+    c = Series(1, 1, 2, {(1, (0,)): 1, (1, ()): 2})
+    with pytest.raises(ValueError, match="above m=1"):
+        convolve(Character(c), Character(c), CoordMap(1, (5,)))
 
 
 def test_convolve_matches_group_product():

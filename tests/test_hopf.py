@@ -1,6 +1,8 @@
 import importlib
 import pkgutil
 
+import pytest
+
 import circletree
 from circletree import checks, coordmaps, hopf
 from circletree.hopf import (
@@ -212,18 +214,40 @@ def test_clear_caches_empties_every_memo_table():
                    if callable(getattr(obj, "cache_info", None))]
     assert len(caches) >= 5
     assert all(cache.cache_info().currsize for cache in caches)
+    assert hopf._ANTIPODE_CACHE and coordmaps._ANTIPODE_CACHE
     hopf.clear_caches()
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
     assert not hopf._ANTIPODE_CACHE
+    assert not coordmaps._ANTIPODE_CACHE
 
 
-def test_memoization_toggle(monkeypatch):
+def test_memoization_toggle():
     c = Rct(1, (0, 0, 1))
     with_memo = antipode_recursive(c, 2, "left", memoize=True)
     without = antipode_recursive(c, 2, "left", memoize=False)
     assert with_memo == without
-    monkeypatch.setenv("CIRCLETREE_MEMO", "off")
-    assert antipode_recursive(c, 2, "left") == with_memo
+
+
+def test_returned_antipodes_do_not_alias_the_memo():
+    c = Rct(1, (0, 0, 1))
+    a = coordmaps.to_coord_map(c)
+    routes = [lambda side: antipode_recursive(c, 2, side),
+              lambda side: coordmaps.antipode(a, 2, side)]
+    for route in routes:
+        for side in ("left", "right"):
+            original = LinComb(route(side))
+            mutated = route(side)
+            mutated.add_term(("junk",), 7)
+            mutated.pop(next(iter(original)))
+            assert route(side) == original, side
+
+
+def test_unknown_antipode_side_is_rejected():
+    c = Rct(1, (0, 1))
+    with pytest.raises(ValueError, match="left or right"):
+        antipode_recursive(c, 2, "middle")
+    with pytest.raises(ValueError, match="left or right"):
+        coordmaps.antipode(coordmaps.to_coord_map(c), 2, "middle")
 
 
 def test_extraction_term_markers():
