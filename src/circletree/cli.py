@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checks, coordmaps, groupops, hopf, prelie, series as series_mod
+from . import coordmaps, groupops, hopf, prelie, series as series_mod
 from .lincomb import format_rational
 from .series import Series
 from .trees import (
@@ -300,6 +300,9 @@ def _run(args) -> int:
     if args.command == "numcheck":
         if args.N < 8:
             raise CliError(f"--N {args.N} is below 8, the coarsest grid N // 8", PARSE_ERROR)
+        if not 0 < args.T < float("inf"):
+            raise CliError(f"--T {args.T} must be positive and finite: the horizon is [0, T]",
+                           PARSE_ERROR)
         from . import numeric  # numpy loads only for the numeric commands
 
         grid_sizes = [args.N // 8, args.N // 4, args.N // 2, args.N]
@@ -317,6 +320,12 @@ def _run(args) -> int:
         return 0
 
     if args.command == "axioms":
+        for flag, value in (("--max-degree", args.max_degree), ("--m", args.m)):
+            if value < 1:
+                raise CliError(f"{flag} {value} is below 1: the sweep would check nothing",
+                               PARSE_ERROR)
+        from . import checks
+
         for name, count in checks.run_axioms(args.max_degree, args.m):
             print(f"{name}: OK ({count} cases)")
         print("OK")

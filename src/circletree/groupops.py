@@ -16,9 +16,9 @@ route, is kept as the reference `antipode_inverse`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from typing import NamedTuple
 
 from .coordmaps import CoordMap, antipode, format_coord_map, full_delta
 from .lincomb import LinComb, as_fraction, scale_to_ints
@@ -80,8 +80,8 @@ def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None) -> 
         for w, k in image.items():
             totals[ch, w] = totals.get((ch, w), 0) + scale * k
     out_den = c_den * den ** length
-    return Series(c.ell, c.m, length,
-                  {key: Fraction(k, out_den) for key, k in totals.items() if k})
+    return Series._from_valid(c.ell, c.m, length,
+                              {key: Fraction(k, out_den) for key, k in totals.items()})
 
 
 def compose(c: Series, d: Series, max_len: int | None = None) -> Series:
@@ -116,8 +116,7 @@ def group_product(c: Series, d: Series, max_len: int | None = None) -> Series:
 # characters and inversion
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """Multiplicative evaluation of coordinate-map polynomials at a series."""
 
     series: Series

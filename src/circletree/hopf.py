@@ -23,10 +23,9 @@ the raw expansion, e.g. to time it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import coordmaps, lincomb, prelie, words
 from .lincomb import LinComb, counit, format_monomial, format_rational, mono_mul, mono_sort_key
@@ -201,8 +200,7 @@ def antipode(c: Rct, m: int, method: str = "right", memoize: bool = True) -> Lin
 # term statistics
 
 
-@dataclass(frozen=True)
-class StatsRecord:
+class StatsRecord(NamedTuple):
     degree: int
     method: str
     generated: int

@@ -13,7 +13,7 @@ the observed deviation is pure quadrature error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,16 +21,14 @@ from .series import Series
 from .words import Word
 
 
-@dataclass
 class Signal:
-    """Uniformly sampled m-channel input on [0, T]."""
+    """Uniformly sampled m-channel input on [0, T]; values has shape (m, len(grid))."""
 
-    grid: np.ndarray
-    values: np.ndarray  # shape (m, len(grid))
+    __slots__ = ("grid", "values")
 
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+    def __init__(self, grid, values):
+        self.grid = np.asarray(grid, dtype=float)
+        self.values = np.atleast_2d(np.asarray(values, dtype=float))
         if self.values.shape[1] != self.grid.shape[0]:
             raise ValueError("values and grid length mismatch")
         steps = np.diff(self.grid)
@@ -151,8 +149,7 @@ def standard_corpus() -> list[tuple[str, Series, Series]]:
     ]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     kind: str
     case: int
     deviations: tuple[tuple[int, float], ...]

@@ -11,35 +11,72 @@ feedback group; the identity symbol itself is never stored as a word.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lincomb import LinComb, as_fraction, format_rational, parse_rational
 from .words import Word, format_word, parse_word, shuffle_polys
 
 
-@dataclass(frozen=True)
-class Series:
-    ell: int
-    m: int
-    max_len: int
-    coeffs: dict = field(default_factory=dict)
+def _frozen(self, *_args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __post_init__(self):
+
+def _set_fields(series, ell: int, m: int, max_len: int, coeffs: dict) -> None:
+    object.__setattr__(series, "ell", ell)
+    object.__setattr__(series, "m", m)
+    object.__setattr__(series, "max_len", max_len)
+    object.__setattr__(series, "coeffs", coeffs)
+
+
+class Series:
+    """Coefficients (channel, word) -> Fraction of an ell-output, (m+1)-letter
+    series truncated at word length max_len.
+
+    The constructor checks every key against the shape, converts values to
+    Fraction and drops zeros.  Instances are immutable and unhashable, and
+    compare equal when shape and coefficients agree.
+    """
+
+    __slots__ = ("ell", "m", "max_len", "coeffs")
+    __setattr__ = __delattr__ = _frozen
+    __hash__ = None
+
+    def __init__(self, ell: int, m: int, max_len: int, coeffs: dict | None = None):
         clean: dict[tuple[int, Word], Fraction] = {}
-        for (channel, word), value in self.coeffs.items():
+        for (channel, word), value in (coeffs or {}).items():
             word = tuple(word)
-            if not 1 <= channel <= self.ell:
-                raise ValueError(f"channel {channel} outside 1..{self.ell}")
-            if any(not 0 <= letter <= self.m for letter in word):
+            if not 1 <= channel <= ell:
+                raise ValueError(f"channel {channel} outside 1..{ell}")
+            if any(not 0 <= letter <= m for letter in word):
                 raise ValueError(f"letter outside alphabet in word {word}")
-            if len(word) > self.max_len:
-                raise ValueError(f"word {word} longer than max_len={self.max_len}")
+            if len(word) > max_len:
+                raise ValueError(f"word {word} longer than max_len={max_len}")
             value = as_fraction(value)
             if value:
                 clean[(channel, word)] = value
-        object.__setattr__(self, "coeffs", clean)
+        _set_fields(self, ell, m, max_len, clean)
+
+    def __eq__(self, other):
+        if other.__class__ is not Series:
+            return NotImplemented
+        return (self.ell, self.m, self.max_len, self.coeffs) == (
+            other.ell, other.m, other.max_len, other.coeffs)
+
+    def __repr__(self) -> str:
+        return (f"Series(ell={self.ell!r}, m={self.m!r}, max_len={self.max_len!r}, "
+                f"coeffs={self.coeffs!r})")
+
+    def __reduce__(self):
+        return Series, (self.ell, self.m, self.max_len, self.coeffs)
+
+    @classmethod
+    def _from_valid(cls, ell: int, m: int, max_len: int, coeffs: dict) -> "Series":
+        """Private constructor for coefficients already valid for the shape:
+        Fraction values keyed by in-range (channel, word tuple), as products
+        of valid series give.  Skips the checks; only drops zeros."""
+        out = object.__new__(cls)
+        _set_fields(out, ell, m, max_len, {key: value for key, value in coeffs.items() if value})
+        return out
 
     def coeff(self, channel: int, word: Word) -> Fraction:
         return self.coeffs.get((channel, tuple(word)), Fraction(0))
@@ -55,13 +92,13 @@ class Series:
         return not self.coeffs
 
     def truncated(self, max_len: int) -> "Series":
-        return Series(self.ell, self.m, max_len, {
+        return Series._from_valid(self.ell, self.m, max_len, {
             key: value for key, value in self.coeffs.items() if len(key[1]) <= max_len})
 
     def scaled(self, factor) -> "Series":
         factor = as_fraction(factor)
-        return Series(self.ell, self.m, self.max_len,
-                      {key: factor * value for key, value in self.coeffs.items()})
+        return Series._from_valid(self.ell, self.m, self.max_len,
+                                  {key: factor * value for key, value in self.coeffs.items()})
 
     def __neg__(self) -> "Series":
         return self.scaled(-1)
@@ -99,7 +136,7 @@ def add(a: Series, b: Series) -> Series:
     for key, value in b.coeffs.items():
         if len(key[1]) <= max_len:
             coeffs[key] = coeffs.get(key, 0) + value
-    return Series(a.ell, a.m, max_len, coeffs)  # the constructor drops zeros
+    return Series._from_valid(a.ell, a.m, max_len, coeffs)
 
 
 def shuffle_product(a: Series, b: Series) -> Series:
@@ -123,15 +160,28 @@ def left_concat(letter: int, a: Series) -> Series:
     return Series(a.ell, a.m, a.max_len, coeffs)
 
 
-@dataclass(frozen=True)
 class DeltaSeries:
     """identity + base, an element of the feedback group."""
 
-    base: Series
+    __slots__ = ("base",)
+    __setattr__ = __delattr__ = _frozen
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.base.ell != self.base.m:
+    def __init__(self, base: Series):
+        if base.ell != base.m:
             raise ValueError("feedback group elements need a square series (ell == m)")
+        object.__setattr__(self, "base", base)
+
+    def __eq__(self, other):
+        if other.__class__ is not DeltaSeries:
+            return NotImplemented
+        return self.base == other.base
+
+    def __repr__(self) -> str:
+        return f"DeltaSeries(base={self.base!r})"
+
+    def __reduce__(self):
+        return DeltaSeries, (self.base,)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +247,12 @@ def series_from_doc(doc: dict) -> Series:
 
 
 def dumps_json(a: Series) -> str:
+    import json  # only the JSON format needs it
+
     return json.dumps(series_to_doc(a), indent=2)
 
 
 def loads_json(text: str) -> Series:
+    import json
+
     return series_from_doc(json.loads(text))

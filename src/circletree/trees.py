@@ -267,7 +267,8 @@ def iter_words(max_weight: int, m: int) -> Iterator[Word]:
                 for tail in rec(budget - cost):
                     yield (letter,) + tail
 
-    yield from rec(max_weight)
+    if max_weight >= 0:
+        yield from rec(max_weight)
 
 
 def iter_rcts(max_degree: int, m: int) -> Iterator[Rct]:

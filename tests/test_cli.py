@@ -75,13 +75,18 @@ def test_antipode_default_method_prints_the_left_bytes(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    """`import circletree.cli` loads no numpy and none of the heavy stdlib
+    modules; only what the import adds counts, not what `site` loaded."""
     src = str(Path(circletree.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = "import sys, circletree.cli; print('numpy' in sys.modules)"
+    probe = ("import sys; before = set(sys.modules); import circletree.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    added = set(result.stdout.split())
+    assert "circletree.cli" in added
+    assert not added & {"numpy", "dataclasses", "inspect", "json"}
 
 
 def test_stats_and_table1(capsys):
@@ -186,11 +191,31 @@ def test_numcheck_needs_at_least_eight_intervals(capsys):
     assert out.splitlines()[-1].startswith("max deviation at N=8:")
 
 
+def test_numcheck_needs_a_positive_horizon(capsys):
+    for t in ("0", "-1", "inf", "nan"):
+        code, out, err = run_cli(capsys, "numcheck", "--kind", "shuffle", "--N", "8", "--T", t)
+        assert (code, out) == (2, "")
+        assert "--T" in err
+
+
 def test_axioms_command(capsys):
     code, out, _ = run_cli(capsys, "axioms", "--max-degree", "4", "--m", "1")
     assert code == 0
     assert out.splitlines()[-1] == "OK"
     assert all(": OK (" in line for line in out.splitlines()[:-1])
+
+
+def test_axioms_rejects_an_empty_sweep(capsys):
+    for argv in (("--max-degree", "3", "--m", "0"), ("--max-degree", "0"),
+                 ("--max-degree", "-2", "--m", "1")):
+        code, out, err = run_cli(capsys, "axioms", *argv)
+        assert (code, out) == (2, "")
+        assert "below 1" in err
+    code, out, _ = run_cli(capsys, "axioms", "--max-degree", "1", "--m", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "OK"
+    assert lines[0] == "coassociativity: OK (2 cases)"  # the two one-vertex trees
 
 
 def test_deterministic_output(capsys):

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,37 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         Series(1, 2, 1, {(1, (1, 1)): 1})  # word too long
     assert Series(1, 2, 4, {(1, (1,)): 0}).is_zero()
+
+
+def test_series_value_semantics():
+    a = Series(1, 2, 4, {(1, (0, 1)): "1/2", (1, (2,)): 3})
+    assert a == Series(ell=1, m=2, max_len=4, coeffs={(1, (0, 1)): Fraction(1, 2), (1, (2,)): 3})
+    assert a != Series(1, 2, 5, dict(a.coeffs))
+    assert Series(1, 2, 4) == zero_series(1, 2, 4)
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(AttributeError):
+        a.max_len = 5
+    delta = DeltaSeries(Series(2, 2, 4, {(2, (1,)): 1}))
+    assert delta == DeltaSeries(Series(2, 2, 4, {(2, (1,)): 1}))
+    assert pickle.loads(pickle.dumps(delta)) == delta
+    with pytest.raises(AttributeError):
+        delta.base = a
+
+
+def test_derived_series_pass_the_constructor_checks():
+    """Results built without re-validation equal their validated rebuild."""
+    from circletree.groupops import compose, group_inverse, group_product, mod_compose
+
+    c = Series(2, 2, 3, {(1, (1,)): 1, (1, (0, 2)): Fraction(-1, 2), (2, ()): 2, (2, (2, 1)): 1})
+    d = Series(2, 2, 3, {(1, (2,)): Fraction(1, 3), (2, (1,)): -1, (2, (0,)): 1})
+    for x in (c.truncated(2), c.truncated(5), c.scaled(0), c.scaled("2/3"), -c,
+              add(c, d), add(c, -c), compose(c, d), mod_compose(c, d),
+              group_product(c, d), group_inverse(c)):
+        assert Series(x.ell, x.m, x.max_len, x.coeffs) == x
+        assert all(type(v) is Fraction and v for v in x.coeffs.values())
+    assert add(c, -c).coeffs == {}
 
 
 def test_delta_series_requires_square():

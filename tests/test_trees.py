@@ -161,6 +161,15 @@ def test_degree_and_weight_bookkeeping():
                 assert weight(c) == weight(q) + weight(r) - 1
 
 
+def test_iter_rcts_stays_within_the_degree():
+    for m in (1, 2):
+        assert list(iter_rcts(0, m)) == []
+        assert list(iter_rcts(-1, m)) == []
+        assert list(iter_rcts(1, m)) == [Rct(root, ()) for root in range(1, m + 1)]
+        for max_degree in range(6):
+            assert all(degree(c) <= max_degree for c in iter_rcts(max_degree, m))
+
+
 def test_nested_quotients_compose():
     """Collapsing an inner subset first, then the rest, matches one collapse."""
     for c in iter_rcts(7, 2):
