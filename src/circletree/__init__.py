@@ -10,7 +10,6 @@ from .groupops import (
     group_inverse,
     group_product,
     hat_compose,
-    inf_char,
     mod_compose,
 )
 from .hopf import (
@@ -24,7 +23,7 @@ from .hopf import (
 )
 from .lincomb import LinComb
 from .prelie import lie_bracket, prelie_product
-from .series import DeltaSeries, Series
+from .series import Series
 from .trees import (
     Rct,
     degree,
@@ -34,17 +33,17 @@ from .trees import (
     restrict,
     weight,
 )
-from .words import concat, letter_weight, shuffle, word_degree
+from .words import letter_weight, shuffle, word_degree
 
 __all__ = [
     "CoordMap", "coord_antipode", "full_delta", "tilde_delta",
     "Character", "antipode_inverse", "compose", "convolve", "group_inverse", "group_product",
-    "hat_compose", "inf_char", "mod_compose",
+    "hat_compose", "mod_compose",
     "antipode", "antipode_forest", "antipode_recursive", "antipode_stats",
     "coproduct", "linearized_coproduct", "reduced_coproduct",
     "LinComb", "lie_bracket", "prelie_product",
-    "DeltaSeries", "Series",
+    "Series",
     "Rct", "degree", "enumerate_admissible_extractions", "enumerate_all_extractions",
     "quotient", "restrict", "weight",
-    "concat", "letter_weight", "shuffle", "word_degree",
+    "letter_weight", "shuffle", "word_degree",
 ]

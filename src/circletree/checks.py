@@ -2,108 +2,112 @@
 
 Each check sweeps generators up to a degree bound (or runs seeded random
 trials), raises AssertionError with context on the first violation, and
-returns the number of cases it verified.
+returns the number of cases it verified.  The per-generator suites are
+written for one tree c and lifted by `_sweep` to check_*(max_degree, m),
+which returns how many generators were actually checked: 0 means the
+sweep held no case, not that it passed.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from . import coordmaps, groupops, hopf, prelie
 from .lincomb import LinComb
 from .series import Series, add, left_concat, shuffle_product, zero_series
-from .trees import Rct, degree, iter_rcts
+from .trees import Rct, admissible_subsets, degree, delete_positions, iter_rcts, restrict
 from .words import Word
+
+
+def _sweep(check, only=None):
+    """check(c, m) -> check(max_degree, m) -> int: run it on every generator
+    of degree <= max_degree that `only` accepts (all, if None) and return
+    how many it ran on."""
+
+    def sweep(max_degree: int, m: int) -> int:
+        count = 0
+        for c in iter_rcts(max_degree, m):
+            if only is None or only(c):
+                check(c, m)
+                count += 1
+        return count
+
+    sweep.__name__ = sweep.__qualname__ = check.__name__
+    sweep.__doc__ = check.__doc__
+    return sweep
 
 
 # ---------------------------------------------------------------------------
 # Hopf axioms on the tree side
 
 
-def check_coassociativity(max_degree: int, m: int) -> int:
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        delta = hopf.coproduct(c, m)
-        lhs = LinComb()
-        rhs = LinComb()
-        for (left, right), coeff in delta.items():
-            for (a, b), k in hopf.coproduct_monomial(left, m).items():
-                lhs.add_term((a, b, right), coeff * k)
-            for (a, b), k in hopf.coproduct_monomial(right, m).items():
-                rhs.add_term((left, a, b), coeff * k)
-        assert lhs == rhs, f"coassociativity fails on {c}"
-        count += 1
-    return count
+@_sweep
+def check_coassociativity(c: Rct, m: int) -> None:
+    delta = hopf.coproduct(c, m)
+    lhs = LinComb()
+    rhs = LinComb()
+    for (left, right), coeff in delta.items():
+        for (a, b), k in hopf.coproduct_monomial(left, m).items():
+            lhs.add_term((a, b, right), coeff * k)
+        for (a, b), k in hopf.coproduct_monomial(right, m).items():
+            rhs.add_term((left, a, b), coeff * k)
+    assert lhs == rhs, f"coassociativity fails on {c}"
 
 
-def check_counit(max_degree: int, m: int) -> int:
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        delta = hopf.coproduct(c, m)
-        left_collapsed = LinComb()
-        right_collapsed = LinComb()
-        for (left, right), coeff in delta.items():
-            if not left:
-                left_collapsed.add_term(right, coeff)
-            if not right:
-                right_collapsed.add_term(left, coeff)
-        expected = LinComb.single((c,), 1)
-        assert left_collapsed == expected, f"left counit fails on {c}"
-        assert right_collapsed == expected, f"right counit fails on {c}"
-        count += 1
-    return count
+@_sweep
+def check_counit(c: Rct, m: int) -> None:
+    delta = hopf.coproduct(c, m)
+    left_collapsed = LinComb()
+    right_collapsed = LinComb()
+    for (left, right), coeff in delta.items():
+        if not left:
+            left_collapsed.add_term(right, coeff)
+        if not right:
+            right_collapsed.add_term(left, coeff)
+    expected = LinComb.single((c,), 1)
+    assert left_collapsed == expected, f"left counit fails on {c}"
+    assert right_collapsed == expected, f"right counit fails on {c}"
 
 
-def check_grading(max_degree: int, m: int) -> int:
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        d = degree(c)
-        for (left, right), _coeff in hopf.coproduct(c, m).items():
-            split = hopf.mono_degree(left) + hopf.mono_degree(right)
-            assert split == d, f"grading fails on {c}: {left}|{right}"
-        count += 1
-    return count
+@_sweep
+def check_grading(c: Rct, m: int) -> None:
+    d = degree(c)
+    for (left, right), _coeff in hopf.coproduct(c, m).items():
+        split = hopf.mono_degree(left) + hopf.mono_degree(right)
+        assert split == d, f"grading fails on {c}: {left}|{right}"
 
 
-def check_antipode_convolution(max_degree: int, m: int) -> int:
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        delta = hopf.coproduct(c, m)
-        left_conv = LinComb()
-        right_conv = LinComb()
-        for (left, right), coeff in delta.items():
-            s_left = hopf.antipode_poly(LinComb.single(left, 1), m)
-            for mono, k in s_left.items():
-                left_conv.add_term(hopf.mono_mul(mono, right), coeff * k)
-            s_right = hopf.antipode_poly(LinComb.single(right, 1), m)
-            for mono, k in s_right.items():
-                right_conv.add_term(hopf.mono_mul(left, mono), coeff * k)
-        assert not left_conv, f"S*id fails on {c}: {left_conv}"
-        assert not right_conv, f"id*S fails on {c}: {right_conv}"
-        count += 1
-    return count
+@_sweep
+def check_antipode_convolution(c: Rct, m: int) -> None:
+    delta = hopf.coproduct(c, m)
+    left_conv = LinComb()
+    right_conv = LinComb()
+    for (left, right), coeff in delta.items():
+        s_left = hopf.antipode_poly(LinComb.single(left, 1), m)
+        for mono, k in s_left.items():
+            left_conv.add_term(hopf.mono_mul(mono, right), coeff * k)
+        s_right = hopf.antipode_poly(LinComb.single(right, 1), m)
+        for mono, k in s_right.items():
+            right_conv.add_term(hopf.mono_mul(left, mono), coeff * k)
+    assert not left_conv, f"S*id fails on {c}: {left_conv}"
+    assert not right_conv, f"id*S fails on {c}: {right_conv}"
 
 
-def check_antipode_agreement(max_degree: int, m: int) -> int:
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        s_left = hopf.antipode_recursive(c, m, "left")
-        s_right = hopf.antipode_recursive(c, m, "right")
-        s_forest = hopf.antipode_forest(c, m)
-        assert s_left == s_right == s_forest, f"antipode variants disagree on {c}"
-        count += 1
-    return count
+@_sweep
+def check_antipode_agreement(c: Rct, m: int) -> None:
+    s_left = hopf.antipode_recursive(c, m, "left")
+    s_right = hopf.antipode_recursive(c, m, "right")
+    s_forest = hopf.antipode_forest(c, m)
+    assert s_left == s_right == s_forest, f"antipode variants disagree on {c}"
 
 
-def check_forest_sign_purity(max_degree: int, m: int) -> int:
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        sign_of: dict = {}
-        for _family, mono, sign in hopf.forest_signed_terms(c, m):
-            seen = sign_of.setdefault(mono, sign)
-            assert seen == sign, f"mixed signs on {mono} for {c}"
-        count += 1
-    return count
+@_sweep
+def check_forest_sign_purity(c: Rct, m: int) -> None:
+    sign_of: dict = {}
+    for _family, mono, sign in hopf.forest_signed_terms(c, m):
+        seen = sign_of.setdefault(mono, sign)
+        assert seen == sign, f"mixed signs on {mono} for {c}"
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +121,18 @@ def _linearized_pairs(c: Rct, m: int) -> LinComb:
     return out
 
 
-def check_copre_lie(max_degree: int, m: int) -> int:
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        first = LinComb()
-        second = LinComb()
-        for (a, b), coeff in _linearized_pairs(c, m).items():
-            for (x, y), k in _linearized_pairs(a, m).items():
-                first.add_term((x, y, b), coeff * k)
-            for (x, y), k in _linearized_pairs(b, m).items():
-                second.add_term((a, x, y), coeff * k)
-        diff = first - second
-        flipped = diff.map_basis(lambda t: (t[0], t[2], t[1]))
-        assert diff == flipped, f"co-pre-Lie relation fails on {c}"
-        count += 1
-    return count
+@_sweep
+def check_copre_lie(c: Rct, m: int) -> None:
+    first = LinComb()
+    second = LinComb()
+    for (a, b), coeff in _linearized_pairs(c, m).items():
+        for (x, y), k in _linearized_pairs(a, m).items():
+            first.add_term((x, y, b), coeff * k)
+        for (x, y), k in _linearized_pairs(b, m).items():
+            second.add_term((a, x, y), coeff * k)
+    diff = first - second
+    flipped = diff.map_basis(lambda t: (t[0], t[2], t[1]))
+    assert diff == flipped, f"co-pre-Lie relation fails on {c}"
 
 
 def _triples(max_degree: int, m: int, random_trials: int, random_degree: int,
@@ -201,71 +202,55 @@ def check_duality(max_degree: int, m: int) -> int:
 # isomorphism with the coordinate-map side
 
 
-def check_iso_coproduct(max_degree: int, m: int) -> int:
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        lhs = coordmaps.tree_tensor_to_coord(hopf.coproduct(c, m))
-        rhs = coordmaps.full_delta(coordmaps.to_coord_map(c), m)
-        assert lhs == rhs, f"coproducts disagree through the bijection on {c}"
-        count += 1
-    return count
+@_sweep
+def check_iso_coproduct(c: Rct, m: int) -> None:
+    lhs = coordmaps.tree_tensor_to_coord(hopf.coproduct(c, m))
+    rhs = coordmaps.full_delta(coordmaps.to_coord_map(c), m)
+    assert lhs == rhs, f"coproducts disagree through the bijection on {c}"
 
 
-def check_iso_antipode(max_degree: int, m: int) -> int:
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        lhs = coordmaps.tree_poly_to_coord(hopf.antipode_recursive(c, m))
-        a = coordmaps.to_coord_map(c)
-        s_left = coordmaps.antipode(a, m, "left")
-        s_right = coordmaps.antipode(a, m, "right")
-        assert lhs == s_left == s_right, f"antipodes disagree through the bijection on {c}"
-        count += 1
-    return count
+@_sweep
+def check_iso_antipode(c: Rct, m: int) -> None:
+    lhs = coordmaps.tree_poly_to_coord(hopf.antipode_recursive(c, m))
+    a = coordmaps.to_coord_map(c)
+    s_left = coordmaps.antipode(a, m, "left")
+    s_right = coordmaps.antipode(a, m, "right")
+    assert lhs == s_left == s_right, f"antipodes disagree through the bijection on {c}"
 
 
-def check_figure_relations(max_degree: int, m: int) -> int:
+@_sweep
+def check_figure_relations(c: Rct, m: int) -> None:
     """The four coproducts differ by primitive-part additions."""
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        a = coordmaps.to_coord_map(c)
-        mono = (a,)
-        tilde = coordmaps.tilde_delta(a, m)
-        full = coordmaps.full_delta(a, m)
-        reduced = coordmaps.reduced_delta(a, m)
-        with_left = LinComb(reduced)
-        with_left.add_term((mono, coordmaps.UNIT), 1)
-        assert tilde == with_left, f"tilde vs reduced fails on {c}"
-        with_right = LinComb(tilde)
-        with_right.add_term((coordmaps.UNIT, mono), 1)
-        assert full == with_right, f"full vs tilde fails on {c}"
-        transported = coordmaps.tree_tensor_to_coord(hopf.reduced_coproduct(c, m))
-        assert transported == reduced, f"reduced coproducts disagree on {c}"
-        count += 1
-    return count
+    a = coordmaps.to_coord_map(c)
+    mono = (a,)
+    tilde = coordmaps.tilde_delta(a, m)
+    full = coordmaps.full_delta(a, m)
+    reduced = coordmaps.reduced_delta(a, m)
+    with_left = LinComb(reduced)
+    with_left.add_term((mono, coordmaps.UNIT), 1)
+    assert tilde == with_left, f"tilde vs reduced fails on {c}"
+    with_right = LinComb(tilde)
+    with_right.add_term((coordmaps.UNIT, mono), 1)
+    assert full == with_right, f"full vs tilde fails on {c}"
+    transported = coordmaps.tree_tensor_to_coord(hopf.reduced_coproduct(c, m))
+    assert transported == reduced, f"reduced coproducts disagree on {c}"
 
 
-def check_deshuffle_correspondence(max_degree: int, m: int) -> int:
+@partial(_sweep, only=lambda c: c.word[:1] == (0,))  # trees with a leading white vertex
+def check_deshuffle_correspondence(c: Rct, m: int) -> None:
     """Single sub-tree extraction at a leading white vertex is the deshuffle."""
-    from .trees import admissible_subsets, delete_positions, restrict
-
-    count = 0
-    for c in iter_rcts(max_degree, m):
-        if not c.word or c.word[0] != 0:
-            continue
-        tail = Rct(c.root, c.word[1:])
-        for n in range(1, m + 1):
-            pairs = LinComb()
-            for subset in admissible_subsets(c):
-                if subset[0] != 1:
-                    continue
-                left = delete_positions(c, subset)
-                right = restrict(c, subset, n, m)
-                pairs.add_term(
-                    ((coordmaps.to_coord_map(left),), (coordmaps.to_coord_map(right),)), 1)
-            expected = coordmaps.deshuffle_coproduct(coordmaps.to_coord_map(tail), n)
-            assert pairs == expected, f"deshuffle correspondence fails on {c}, n={n}"
-        count += 1
-    return count
+    tail = Rct(c.root, c.word[1:])
+    for n in range(1, m + 1):
+        pairs = LinComb()
+        for subset in admissible_subsets(c):
+            if subset[0] != 1:
+                continue
+            left = delete_positions(c, subset)
+            right = restrict(c, subset, n, m)
+            pairs.add_term(
+                ((coordmaps.to_coord_map(left),), (coordmaps.to_coord_map(right),)), 1)
+        expected = coordmaps.deshuffle_coproduct(coordmaps.to_coord_map(tail), n)
+        assert pairs == expected, f"deshuffle correspondence fails on {c}, n={n}"
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +354,7 @@ def check_numeric(N: int = 2000, tol: float = 1e-6,
 
 def run_axioms(max_degree: int, m: int) -> list[tuple[str, int]]:
     inner = max(max_degree - 1, 1)
-    results = [
+    return [
         ("coassociativity", check_coassociativity(max_degree, m)),
         ("counit", check_counit(max_degree, m)),
         ("grading", check_grading(max_degree, m)),
@@ -382,4 +367,3 @@ def run_axioms(max_degree: int, m: int) -> list[tuple[str, int]]:
         ("coproduct ladder", check_figure_relations(max_degree, m)),
         ("deshuffle correspondence", check_deshuffle_correspondence(max_degree, m)),
     ]
-    return results

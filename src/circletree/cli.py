@@ -15,9 +15,11 @@ from .lincomb import format_rational
 from .series import Series
 from .trees import (
     Rct,
+    admissible_subsets,
     degree,
     enumerate_admissible_extractions,
     enumerate_all_extractions,
+    format_rct,
     format_subset,
     parse_rct,
     weight,
@@ -92,6 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact Hopf-algebra calculations on decorated rooted circle trees "
                     "and the feedback group of their series")
     sub = parser.add_subparsers(dest="command", required=True)
+    tree = argparse.ArgumentParser(add_help=False)  # --rct and --m of the one-tree commands
+    tree.add_argument("--rct", required=True)
+    tree.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("shuffle", help="shuffle product of two words")
     p.add_argument("words", nargs=2)
@@ -103,33 +108,23 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--rct")
     p.add_argument("--m", type=int, default=None)
 
-    p = sub.add_parser("subsets", help="admissible position subsets of a tree")
-    p.add_argument("--rct", required=True)
-    p.add_argument("--m", type=int, required=True)
+    sub.add_parser("subsets", help="admissible position subsets of a tree", parents=[tree])
 
-    p = sub.add_parser("extractions", help="extraction families of a tree")
-    p.add_argument("--rct", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("extractions", help="extraction families of a tree", parents=[tree])
     p.add_argument("--all", action="store_true",
                    help="general (disjoint-or-nested) families instead of admissible ones")
     p.add_argument("--include-trivial", action="store_true",
                    help="list the empty and total extractions too")
 
-    p = sub.add_parser("coproduct", help="coproduct of a tree")
-    p.add_argument("--rct", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("coproduct", help="coproduct of a tree", parents=[tree])
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--linearized", action="store_true")
 
-    p = sub.add_parser("antipode", help="antipode of a tree")
-    p.add_argument("--rct", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("antipode", help="antipode of a tree", parents=[tree])
     p.add_argument("--method", choices=("left", "right", "forest"), default="right",
                    help="right recursion (default), left recursion, or the closed forest formula")
 
-    p = sub.add_parser("stats", help="antipode term statistics (CSV)")
-    p.add_argument("--rct", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("stats", help="antipode term statistics (CSV)", parents=[tree])
     p.add_argument("--method", choices=("recursive_left", "forest"), default="recursive_left")
 
     p = sub.add_parser("table1", help="distinct antipode terms of the all-white trees (CSV)")
@@ -170,6 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
+    if getattr(args, "rct", None) is not None:  # the one-tree commands and `degree --rct`
+        c = _parse_rct_arg(args.rct, args.m)
+
     if args.command == "shuffle":
         try:
             u = parse_word(args.words[0], args.m)
@@ -189,20 +187,16 @@ def _run(args) -> int:
                 raise CliError(str(exc), PARSE_ERROR) from exc
             print(word_degree(word))
         else:
-            c = _parse_rct_arg(args.rct, args.m)
             print(f"degree {degree(c)}")
             print(f"weight {weight(c)}")
         return 0
 
     if args.command == "subsets":
-        c = _parse_rct_arg(args.rct, args.m)
-        from .trees import admissible_subsets
         for subset in admissible_subsets(c):
             print(format_subset(subset))
         return 0
 
     if args.command == "extractions":
-        c = _parse_rct_arg(args.rct, args.m)
         if args.all:
             items = enumerate_all_extractions(c)
         else:
@@ -212,7 +206,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "coproduct":
-        c = _parse_rct_arg(args.rct, args.m)
         if args.linearized:
             tensor = hopf.linearized_coproduct(c, args.m)
         elif args.reduced:
@@ -223,12 +216,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "antipode":
-        c = _parse_rct_arg(args.rct, args.m)
         print(hopf.format_poly(hopf.antipode(c, args.m, args.method)))
         return 0
 
     if args.command == "stats":
-        c = _parse_rct_arg(args.rct, args.m)
         record = hopf.antipode_stats(c, args.m, args.method)
         print("degree,method,generated,distinct,cancelled_mass")
         print(f"{record.degree},{record.method},{record.generated},"
@@ -249,7 +240,6 @@ def _run(args) -> int:
         right = _parse_rct_arg(args.right, args.m)
         result = prelie.prelie_product(left, right)
         for c in sorted(result):
-            from .trees import format_rct
             print(f"{format_rct(c)} {format_rational(result[c])}")
         return 0
 
@@ -327,7 +317,7 @@ def _run(args) -> int:
         from . import checks
 
         for name, count in checks.run_axioms(args.max_degree, args.m):
-            print(f"{name}: OK ({count} cases)")
+            print(f"{name}: {'OK' if count else 'skipped'} ({count} cases)")
         print("OK")
         return 0
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import lincomb
 from .lincomb import LinComb, format_monomial, mono_mul
 from .trees import Rct
-from .words import Word, format_word, parse_word
+from .words import Word, format_word, parse_word, word_degree
 
 
 class CoordMap(NamedTuple):
@@ -35,7 +35,7 @@ UNIT: CMono = ()
 
 
 def degree(a: CoordMap) -> int:
-    return sum(2 if letter == 0 else 1 for letter in a.word) + 1
+    return word_degree(a.word) + 1
 
 
 def mono_degree(mono: CMono) -> int:

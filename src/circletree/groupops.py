@@ -21,7 +21,7 @@ from itertools import product as iter_product
 from typing import NamedTuple
 
 from .coordmaps import CoordMap, antipode, format_coord_map, full_delta
-from .lincomb import LinComb, as_fraction, scale_to_ints
+from .lincomb import as_fraction, scale_to_ints
 from .series import Series, add, zero_series
 from .words import shuffle_ints
 
@@ -60,7 +60,10 @@ def _fold_word(word, d_ints: dict, den: int, max_len: int, modified: bool) -> di
 
 def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None) -> Series:
     _require_composable(c, d)
-    length = min(c.max_len, d.max_len) if max_len is None else max_len
+    known = min(c.max_len, d.max_len)
+    length = known if max_len is None else max_len
+    if length > known:
+        raise ValueError(f"cannot compose to length {length} from series known to length {known}")
     scaled_d, den = scale_to_ints(
         {key: v for key, v in d.coeffs.items() if len(key[1]) <= length})
     d_ints = {ch: {w: v for (i, w), v in scaled_d.items() if i == ch}
@@ -204,26 +207,4 @@ def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:
             value *= psi.eval_monomial(right)
         if value:
             total += coeff * value
-    return total
-
-
-def inf_char(c: Series, a: CoordMap, terms: int = 12) -> Fraction:
-    """Partial sum of the alternating power series in the picked coefficient."""
-    x = Character(c).eval_map(a)
-    if not x:
-        return Fraction(0)
-    total = Fraction(0)
-    power = Fraction(1)
-    for k in range(1, terms + 1):
-        power *= x
-        total += power / k if k % 2 else -power / k
-    return total
-
-
-def inf_char_poly(c: Series, poly: LinComb, terms: int = 12) -> Fraction:
-    """Linear extension: zero on the unit and on products of two or more maps."""
-    total = Fraction(0)
-    for mono, coeff in poly.items():
-        if len(mono) == 1:
-            total += as_fraction(coeff) * inf_char(c, mono[0], terms)
     return total

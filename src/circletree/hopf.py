@@ -29,16 +29,7 @@ from typing import Iterator, NamedTuple
 
 from . import coordmaps, lincomb, prelie, words
 from .lincomb import LinComb, counit, format_monomial, format_rational, mono_mul, mono_sort_key
-from .trees import (
-    Extraction,
-    Rct,
-    bit_indices,
-    degree,
-    format_rct,
-    labelled_extractions,
-    quotient,
-    restrict,
-)
+from .trees import Rct, bit_indices, degree, format_rct, labelled_extractions
 from .words import Word
 
 Monomial = tuple[Rct, ...]
@@ -100,26 +91,6 @@ def coproduct_monomial(mono: Monomial, m: int) -> LinComb:
     for factor in mono:
         acc = tensor_mul(acc, coproduct(factor, m))
     return acc
-
-
-def coproduct_poly(p: LinComb, m: int) -> LinComb:
-    out = LinComb()
-    for mono, coeff in p.items():
-        out.add_comb(coproduct_monomial(mono, m), coeff)
-    return out
-
-
-def extraction_term(c: Rct, extraction: Extraction, labels, m: int) -> tuple[Monomial, Monomial]:
-    """Coproduct tensor term of one admissible extraction at fixed labels."""
-    if extraction.kind == "empty":
-        return ((c,), UNIT)
-    if extraction.kind == "total":
-        return (UNIT, (c,))
-    subsets = extraction.subsets
-    q = quotient(c, subsets, labels, m)
-    rest = tuple(sorted(
-        restrict(c, subset, label, m) for subset, label in zip(subsets, labels)))
-    return ((q,), rest)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,6 @@ A Series holds coefficients for (channel, word) pairs, channels 1-based,
 words no longer than max_len.  Truncation is by word length: every
 product implemented here only lengthens words, so computing with
 truncation L is exact for all words of length <= L.
-
-`DeltaSeries` marks the shifted element "identity + series" of the
-feedback group; the identity symbol itself is never stored as a word.
 """
 
 from __future__ import annotations
@@ -113,16 +110,6 @@ def zero_series(ell: int, m: int, max_len: int) -> Series:
     return Series(ell, m, max_len, {})
 
 
-def from_channel_polys(polys, m: int, max_len: int) -> Series:
-    """Build a series from one word-LinComb per channel."""
-    coeffs = {}
-    for channel, poly in enumerate(polys, start=1):
-        for word, value in poly.items():
-            if len(word) <= max_len:
-                coeffs[(channel, word)] = value
-    return Series(len(polys), m, max_len, coeffs)
-
-
 def _require_same_shape(a: Series, b: Series) -> None:
     if a.ell != b.ell or a.m != b.m:
         raise ValueError(
@@ -143,11 +130,11 @@ def shuffle_product(a: Series, b: Series) -> Series:
     """Channel-wise shuffle; the series-level product of parallel systems."""
     _require_same_shape(a, b)
     max_len = min(a.max_len, b.max_len)
-    polys = [
-        shuffle_polys(a.channel_poly(ch), b.channel_poly(ch), max_len)
-        for ch in range(1, a.ell + 1)
-    ]
-    return from_channel_polys(polys, a.m, max_len)
+    coeffs = {}
+    for ch in range(1, a.ell + 1):
+        for word, value in shuffle_polys(a.channel_poly(ch), b.channel_poly(ch), max_len).items():
+            coeffs[(ch, word)] = Fraction(value)  # int when no denominator
+    return Series._from_valid(a.ell, a.m, max_len, coeffs)
 
 
 def left_concat(letter: int, a: Series) -> Series:
@@ -158,30 +145,6 @@ def left_concat(letter: int, a: Series) -> Series:
         if len(word) + 1 <= a.max_len:
             coeffs[(channel, (letter,) + word)] = value
     return Series(a.ell, a.m, a.max_len, coeffs)
-
-
-class DeltaSeries:
-    """identity + base, an element of the feedback group."""
-
-    __slots__ = ("base",)
-    __setattr__ = __delattr__ = _frozen
-    __hash__ = None
-
-    def __init__(self, base: Series):
-        if base.ell != base.m:
-            raise ValueError("feedback group elements need a square series (ell == m)")
-        object.__setattr__(self, "base", base)
-
-    def __eq__(self, other):
-        if other.__class__ is not DeltaSeries:
-            return NotImplemented
-        return self.base == other.base
-
-    def __repr__(self) -> str:
-        return f"DeltaSeries(base={self.base!r})"
-
-    def __reduce__(self):
-        return DeltaSeries, (self.base,)
 
 
 # ---------------------------------------------------------------------------

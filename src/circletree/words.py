@@ -27,10 +27,6 @@ def word_degree(word: Word) -> int:
     return sum(letter_weight(letter) for letter in word)
 
 
-def concat(u: Word, v: Word) -> Word:
-    return u + v
-
-
 @lru_cache(maxsize=None)
 def _shuffle_items(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     if not u:

@@ -218,6 +218,22 @@ def test_axioms_rejects_an_empty_sweep(capsys):
     assert lines[0] == "coassociativity: OK (2 cases)"  # the two one-vertex trees
 
 
+def test_axioms_reports_an_empty_suite_as_skipped(capsys):
+    """The deshuffle suite needs a leading white vertex, so degree 3; below
+    that it checks nothing and says so instead of reporting a pass."""
+    for max_degree, m, cases in (("1", "1", 1), ("2", "1", 2), ("2", "2", 6)):
+        code, out, err = run_cli(capsys, "axioms", "--max-degree", max_degree, "--m", m)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == f"coassociativity: OK ({cases} cases)"
+        assert lines[-2] == "deshuffle correspondence: skipped (0 cases)"
+        assert lines[-1] == "OK"
+        assert all(": OK (" in line for line in lines[:-2])
+    _, out, _ = run_cli(capsys, "axioms", "--max-degree", "3", "--m", "1")
+    assert "deshuffle correspondence: OK (1 cases)" in out.splitlines()
+    assert "skipped" not in out
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "antipode", "--rct", "1:0.0.1", "--m", "2")
     _, second, _ = run_cli(capsys, "antipode", "--rct", "1:0.0.1", "--m", "2")

@@ -14,8 +14,6 @@ from circletree.groupops import (
     group_inverse,
     group_product,
     hat_compose,
-    inf_char,
-    inf_char_poly,
     mod_compose,
 )
 from circletree.lincomb import LinComb
@@ -213,6 +211,32 @@ def test_inverse_needs_enough_truncation():
             invert(c, max_len=-1)
 
 
+def test_products_refuse_a_length_beyond_their_factors():
+    """Words past a factor's truncation are unknown, so no product can be
+    truncated above min(c.max_len, d.max_len); at or below it nothing moves."""
+    c = Series(1, 1, 1, {(1, (1,)): 1})
+    d = Series(1, 1, 1, {(1, ()): 1})
+    for product in (compose, mod_compose, hat_compose, group_product):
+        with pytest.raises(ValueError, match="known to length 1"):
+            product(c, d, 4)
+        with pytest.raises(ValueError, match="known to length 1"):
+            product(c.truncated(4), d, 2)
+        natural = product(c, d)
+        assert natural.max_len == 1
+        assert product(c, d, 1) == natural
+        assert product(c, d, 0) == natural.truncated(0)
+    rng = random.Random(11)
+    for _ in range(4):
+        a, b = rand_series(rng, 2, 2, 4), rand_series(rng, 2, 2, 3)
+        for product in (compose, mod_compose, hat_compose, group_product):
+            full = product(a, b)
+            assert full.max_len == 3
+            assert product(a, b, 3) == full
+            assert product(a, b, 2) == full.truncated(2), product.__name__
+            with pytest.raises(ValueError):
+                product(a, b, 4)
+
+
 # ---------------------------------------------------------------------------
 # characters, convolution, derivation-like functionals
 
@@ -261,15 +285,6 @@ def test_convolution_inverse_is_neutral():
         for word in iter_product(range(3), repeat=n):
             for i in (1, 2):
                 assert convolve(phi, psi, CoordMap(i, word)) == 0
-
-
-def test_inf_char_values():
-    c = Series(1, 1, 2, {(1, (1,)): 1})
-    assert inf_char(c, CoordMap(1, (0,))) == 0
-    assert inf_char(c, CoordMap(1, (1,)), terms=3) == Fraction(5, 6)
-    assert inf_char_poly(c, LinComb({(): 7})) == 0
-    two = tuple(sorted((CoordMap(1, (1,)), CoordMap(1, (1,)))))
-    assert inf_char_poly(c, LinComb({two: 1})) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from circletree.hopf import (
     antipode_recursive,
     antipode_stats,
     coproduct,
-    coproduct_poly,
+    coproduct_monomial,
     counit,
     forest_signed_terms,
     format_poly,
@@ -54,16 +54,16 @@ def test_coproduct_double_white_m1():
 
 
 def test_coproduct_poly_examples():
-    assert coproduct_poly(LinComb({(): 1}), 2) == LinComb({((), ()): 1})
+    assert coproduct_monomial((), 2) == LinComb({((), ()): 1})
     p = Rct(1, (1,))
     q = Rct(2, (2,))
-    got = coproduct_poly(LinComb({T(p, q): 1}), 2)
+    got = coproduct_monomial(T(p, q), 2)
     assert got == LinComb({
         (T(p, q), ()): 1, ((), T(p, q)): 1,
         ((p,), (q,)): 1, ((q,), (p,)): 1,
     })
     single = Rct(1, (0,))
-    assert coproduct_poly(LinComb({(single,): 1}), 2) == coproduct(single, 2)
+    assert coproduct_monomial((single,), 2) == coproduct(single, 2)
 
 
 def test_reduced_coproduct_examples():
@@ -221,6 +221,15 @@ def test_clear_caches_empties_every_memo_table():
     assert not coordmaps._ANTIPODE_CACHE
 
 
+def test_every_exported_name_resolves():
+    assert len(set(circletree.__all__)) == len(circletree.__all__)
+    missing = [name for name in circletree.__all__ if not hasattr(circletree, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from circletree import *", namespace)
+    assert set(circletree.__all__) <= set(namespace)
+
+
 def test_memoization_toggle():
     c = Rct(1, (0, 0, 1))
     with_memo = antipode_recursive(c, 2, "left", memoize=True)
@@ -248,17 +257,6 @@ def test_unknown_antipode_side_is_rejected():
         antipode_recursive(c, 2, "middle")
     with pytest.raises(ValueError, match="left or right"):
         coordmaps.antipode(coordmaps.to_coord_map(c), 2, "middle")
-
-
-def test_extraction_term_markers():
-    from circletree.hopf import extraction_term
-    from circletree.trees import EMPTY_EXTRACTION, TOTAL_EXTRACTION, proper_extraction
-
-    c = Rct(1, (0, 0))
-    assert extraction_term(c, EMPTY_EXTRACTION, (), 1) == ((c,), ())
-    assert extraction_term(c, TOTAL_EXTRACTION, (), 1) == ((), (c,))
-    got = extraction_term(c, proper_extraction([(1, 2)]), [1], 1)
-    assert got == ((Rct(1, (1,)),), (Rct(1, (0,)),))
 
 
 def test_counit_values():

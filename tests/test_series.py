@@ -4,12 +4,10 @@ from fractions import Fraction
 import pytest
 
 from circletree.series import (
-    DeltaSeries,
     Series,
     add,
     dumps_json,
     format_series,
-    from_channel_polys,
     left_concat,
     loads_json,
     parse_series,
@@ -101,11 +99,6 @@ def test_series_value_semantics():
         hash(a)
     with pytest.raises(AttributeError):
         a.max_len = 5
-    delta = DeltaSeries(Series(2, 2, 4, {(2, (1,)): 1}))
-    assert delta == DeltaSeries(Series(2, 2, 4, {(2, (1,)): 1}))
-    assert pickle.loads(pickle.dumps(delta)) == delta
-    with pytest.raises(AttributeError):
-        delta.base = a
 
 
 def test_derived_series_pass_the_constructor_checks():
@@ -120,12 +113,6 @@ def test_derived_series_pass_the_constructor_checks():
         assert Series(x.ell, x.m, x.max_len, x.coeffs) == x
         assert all(type(v) is Fraction and v for v in x.coeffs.values())
     assert add(c, -c).coeffs == {}
-
-
-def test_delta_series_requires_square():
-    DeltaSeries(Series(2, 2, 4, {}))
-    with pytest.raises(ValueError):
-        DeltaSeries(Series(1, 2, 4, {}))
 
 
 def test_text_roundtrip():
@@ -152,8 +139,13 @@ def test_json_roundtrip():
     assert back == a
 
 
-def test_from_channel_polys():
-    from circletree.lincomb import LinComb
-    s = from_channel_polys([LinComb({(1,): 1}), LinComb({(): 2})], m=2, max_len=3)
-    assert s.ell == 2
-    assert s.coeffs == {(1, (1,)): 1, (2, ()): 2}
+def test_shuffle_product_passes_the_constructor_checks():
+    """The unchecked result of shuffle_product equals its validated rebuild,
+    with Fraction values also where every coefficient is an integer."""
+    a = Series(2, 2, 3, {(1, (1,)): 2, (1, (0,)): -1, (2, ()): 3})
+    b = Series(2, 2, 2, {(1, (2,)): 1, (1, ()): 1, (2, (1, 1)): Fraction(1, 2)})
+    for x, y in ((a, a), (a, b), (b, a), (a, -a)):
+        got = shuffle_product(x, y)
+        assert got.max_len == min(x.max_len, y.max_len)
+        assert Series(got.ell, got.m, got.max_len, got.coeffs) == got
+        assert all(type(v) is Fraction and v for v in got.coeffs.values())

@@ -5,7 +5,6 @@ import pytest
 
 from circletree.lincomb import LinComb
 from circletree.words import (
-    concat,
     format_word,
     letter_weight,
     parse_word,
@@ -39,12 +38,6 @@ def test_word_degree():
     assert word_degree(()) == 0
     assert word_degree((0, 1)) == 3
     assert word_degree((0, 0)) == 4
-
-
-def test_concat():
-    assert concat((1,), (2,)) == (1, 2)
-    assert concat((), (0,)) == (0,)
-    assert concat((0, 1), (2, 0)) == (0, 1, 2, 0)
 
 
 def test_shuffle_examples():
@@ -108,7 +101,7 @@ def test_shuffle_coefficient_mass():
 def test_degree_additive_over_concat():
     for u in all_words(3, 2):
         for v in all_words(2, 2):
-            assert word_degree(concat(u, v)) == word_degree(u) + word_degree(v)
+            assert word_degree(u + v) == word_degree(u) + word_degree(v)
 
 
 def test_word_text_format():
