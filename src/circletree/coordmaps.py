@@ -15,11 +15,10 @@ Tensor values share the monomial-pair convention of `hopf`: keys are
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import lincomb
-from .lincomb import LinComb, format_monomial, mono_mul
+from .lincomb import LinComb, format_monomial, memo, mono_mul
 from .trees import Rct
 from .words import Word, format_word, parse_word, word_degree
 
@@ -54,7 +53,7 @@ def deshuffle_coproduct(a: CoordMap, j: int) -> LinComb:
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
     """Feedback coproduct terms (left single map, right monomial, coefficient)."""
     if not word:
@@ -98,19 +97,19 @@ def reduced_delta(a: CoordMap, m: int) -> LinComb:
     return out
 
 
-# (side, m) -> map -> antipode, apart from the tree table of `hopf`
-_ANTIPODE_CACHE: dict[tuple[str, int], dict[CoordMap, LinComb]] = {}
-
-
 def _reduced_items(a: CoordMap, m: int):
     for left, right, coeff in _tilde_items(a.channel, a.word, m):
         if right or left != a:  # the left-primitive part is not in the reduced coproduct
             yield left, right, coeff
 
 
+@memo
+def _antipode(a: CoordMap, m: int, side: str) -> LinComb:
+    return lincomb.antipode_step(a, _reduced_items(a, m), side, lambda x: _antipode(x, m, side))
+
+
 def antipode(a: CoordMap, m: int, side: str = "right") -> LinComb:
-    memo = _ANTIPODE_CACHE.setdefault((side, m), {})
-    return LinComb(lincomb.recursive_antipode(a, lambda x: _reduced_items(x, m), side, memo))
+    return LinComb(_antipode(a, m, side))
 
 
 def antipode_poly(p: LinComb, m: int, side: str = "right") -> LinComb:

@@ -58,12 +58,19 @@ def _fold_word(word, d_ints: dict, den: int, max_len: int, modified: bool) -> di
     return acc
 
 
+def _target_length(max_len: int | None, known: int, verb: str) -> int:
+    """max_len, or `known` if None; refused below 0 or above `known`."""
+    length = known if max_len is None else max_len
+    if length < 0:
+        raise ValueError(f"cannot {verb} to the negative length {length}")
+    if length > known:
+        raise ValueError(f"cannot {verb} to length {length} from series known to length {known}")
+    return length
+
+
 def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None) -> Series:
     _require_composable(c, d)
-    known = min(c.max_len, d.max_len)
-    length = known if max_len is None else max_len
-    if length > known:
-        raise ValueError(f"cannot compose to length {length} from series known to length {known}")
+    length = _target_length(max_len, min(c.max_len, d.max_len), "compose")
     scaled_d, den = scale_to_ints(
         {key: v for key, v in d.coeffs.items() if len(key[1]) <= length})
     d_ints = {ch: {w: v for (i, w), v in scaled_d.items() if i == ch}
@@ -154,13 +161,7 @@ class Character(NamedTuple):
 def _inverse_length(c: Series, max_len: int | None) -> int:
     if c.ell != c.m:
         raise ValueError("group elements must be square (ell == m)")
-    length = c.max_len if max_len is None else max_len
-    if length < 0:
-        raise ValueError(f"cannot invert to the negative length {length}")
-    if length > c.max_len:
-        raise ValueError(
-            f"cannot invert to length {length} from a series truncated at {c.max_len}")
-    return length
+    return _target_length(max_len, c.max_len, "invert")
 
 
 def group_inverse(c: Series, max_len: int | None = None) -> Series:

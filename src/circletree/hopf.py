@@ -3,9 +3,9 @@
 Monomials are multisets of trees (canonically sorted tuples); the empty
 tuple is the algebra unit.  The coproduct sums quotient (x) extracted
 sub-trees over admissible extractions, with every extraction label
-expanded concretely over 1..m.  The coproduct and every antipode route
-run on the bitmask extraction kernel of `trees`.  The antipode comes
-three ways:
+expanded concretely over 1..m and equal terms combined.  The coproduct
+and every antipode route run on the bitmask extraction kernel of
+`trees`.  The antipode comes three ways:
 
 * right recursion, S(c) = -c - sum q S(r_1)...S(r_n), the default: it is
   the closed forest formula in factored form (Menous-Patras), so it never
@@ -16,21 +16,21 @@ three ways:
   and labelling, never mixing signs on a monomial: the oracle of the
   recursions and the route of the forest statistics.
 
-Both recursions run on `lincomb.recursive_antipode`, shared with the
-coordinate-map algebra.  They are memoized; pass memoize=False to force
-the raw expansion, e.g. to time it.
+Both recursions run on `lincomb.antipode_step`, shared with the
+coordinate-map algebra, over the combined coproduct terms.  One `memo`
+table keyed by (tree, m, side) holds the antipodes; pass memoize=False
+to force the raw expansion, e.g. to time it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from . import coordmaps, lincomb, prelie, words
-from .lincomb import LinComb, counit, format_monomial, format_rational, mono_mul, mono_sort_key
-from .trees import Rct, bit_indices, degree, format_rct, labelled_extractions
-from .words import Word
+from . import lincomb
+from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, memo,
+                      mono_mul, mono_sort_key)
+from .trees import Rct, Word, bit_indices, degree, format_rct, labelled_extractions
 
 Monomial = tuple[Rct, ...]
 
@@ -49,24 +49,22 @@ def tensor_mul(s: LinComb, t: LinComb) -> LinComb:
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def _proper_items(c: Rct, m: int) -> tuple[tuple[Rct, Monomial, int], ...]:
-    """(quotient, sub-trees, 1) of every proper admissible extraction, labels expanded."""
+    """(quotient, sub-trees, multiplicity) of the proper admissible extractions,
+    labels expanded, equal pairs combined."""
     word = c.word
-    out: list[tuple[Rct, Monomial, int]] = []
+    acc = LinComb()
     for family, labels, qword in labelled_extractions(word, (1 << len(word)) - 1, m)[1:]:
         rest = tuple(sorted(
             Rct(label, tuple(word[i] for i in bit_indices(block)[1:]))
             for block, label in zip(family, labels)))
-        out.append((Rct(c.root, qword), rest, 1))
-    return tuple(out)
+        acc.add_term((Rct(c.root, qword), rest), 1)
+    return tuple((q, rest, k) for (q, rest), k in acc.items())
 
 
 def reduced_coproduct(c: Rct, m: int) -> LinComb:
-    out = LinComb()
-    for q, rest, _ in _proper_items(c, m):
-        out.add_term(((q,), rest), 1)
-    return out
+    return LinComb({((q,), rest): k for q, rest, k in _proper_items(c, m)})
 
 
 def coproduct(c: Rct, m: int) -> LinComb:
@@ -79,11 +77,7 @@ def coproduct(c: Rct, m: int) -> LinComb:
 
 def linearized_coproduct(c: Rct, m: int) -> LinComb:
     """Single-subset part of the coproduct; both legs are single trees."""
-    out = LinComb()
-    for q, rest, _ in _proper_items(c, m):
-        if len(rest) == 1:
-            out.add_term(((q,), rest), 1)
-    return out
+    return LinComb({((q,), rest): k for q, rest, k in _proper_items(c, m) if len(rest) == 1})
 
 
 def coproduct_monomial(mono: Monomial, m: int) -> LinComb:
@@ -97,22 +91,19 @@ def coproduct_monomial(mono: Monomial, m: int) -> LinComb:
 # recursive antipodes
 
 
-# (side, m) -> tree -> antipode; not shared with coordmaps, whose maps compare equal to trees
-_ANTIPODE_CACHE: dict[tuple[str, int], dict[Rct, LinComb]] = {}
-
-
-def clear_caches() -> None:
-    """Empty every memo table of the package, e.g. to time a cold run."""
-    _ANTIPODE_CACHE.clear()
-    coordmaps._ANTIPODE_CACHE.clear()
-    for cached in (_proper_items, _generated_count, coordmaps._tilde_items,
-                   prelie._prelie_items, words._shuffle_items):
-        cached.cache_clear()
+@memo
+def _antipode(c: Rct, m: int, side: str) -> LinComb:
+    return lincomb.antipode_step(c, _proper_items(c, m), side, lambda x: _antipode(x, m, side))
 
 
 def antipode_recursive(c: Rct, m: int, side: str = "right", memoize: bool = True) -> LinComb:
-    memo = _ANTIPODE_CACHE.setdefault((side, m), {}) if memoize else None
-    return LinComb(lincomb.recursive_antipode(c, lambda x: _proper_items(x, m), side, memo))
+    if memoize:
+        return LinComb(_antipode(c, m, side))
+
+    def raw(x: Rct) -> LinComb:
+        return lincomb.antipode_step(x, _proper_items(x, m), side, raw)
+
+    return raw(c)
 
 
 def antipode_poly(p: LinComb, m: int, method: str = "right") -> LinComb:
@@ -123,18 +114,18 @@ def antipode_poly(p: LinComb, m: int, method: str = "right") -> LinComb:
 # closed forest formula
 
 
-def _forest_terms(word: Word, mask: int, root: int, m: int, memo: dict) -> Iterator[tuple]:
+def _forest_terms(word: Word, mask: int, root: int, m: int, seen: dict) -> Iterator[tuple]:
     """(subsets, factors) of every labelled general family of the tree with
     this root on the positions of `mask`: a top-level disjoint family, then a
-    general family inside each block below its minimum.  `memo` holds the
+    general family inside each block below its minimum.  `seen` holds the
     expansion of each (block, label) already met in this call."""
     for family, labels, qword in labelled_extractions(word, mask, m):
         parts = []
         for block, label in zip(family, labels):
-            inner = memo.get((block, label))
+            inner = seen.get((block, label))
             if inner is None:
-                inner = memo[block, label] = list(
-                    _forest_terms(word, block & (block - 1), label, m, memo))
+                inner = seen[block, label] = list(
+                    _forest_terms(word, block & (block - 1), label, m, seen))
             parts.append(inner)
         head_subsets = tuple(tuple(i + 1 for i in bit_indices(block)) for block in family)
         head = (Rct(root, qword),)
@@ -179,7 +170,7 @@ class StatsRecord(NamedTuple):
     cancelled_mass: int
 
 
-@lru_cache(maxsize=None)
+@memo
 def _generated_count(word: Word, m: int) -> int:
     """Signed monomials the raw left recursion would emit before combining,
     counted through the quotients alone."""

@@ -5,12 +5,34 @@ polynomials, tensors) is a finite linear combination with integer or
 Fraction coefficients.  `LinComb` is a dict from basis element to
 coefficient that never stores a zero, so two combinations are equal as
 dicts exactly when they are equal as algebraic elements.
+
+The monomial algebra and the antipode step below are shared by the
+circle-tree and the coordinate-map algebras.  Every memo table of the
+package is made by `memo`, which registers it so that `clear_caches`
+empties them all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
+
+_MEMO_TABLES: list = []
+
+
+def memo(fn):
+    """Unbounded `lru_cache` of `fn`, registered for `clear_caches`; the values
+    it returns are shared, so a caller copies one before mutating it."""
+    cached = lru_cache(maxsize=None)(fn)
+    _MEMO_TABLES.append(cached)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every memo table of the package, e.g. to time a cold run."""
+    for cached in _MEMO_TABLES:
+        cached.cache_clear()
 
 
 class LinComb(dict):
@@ -52,17 +74,6 @@ class LinComb(dict):
         out.add_comb(other, -1)
         return out
 
-    def __neg__(self) -> "LinComb":
-        return LinComb({k: -v for k, v in self.items()})
-
-    def scaled(self, factor) -> "LinComb":
-        if not factor:
-            return LinComb()
-        return LinComb({k: factor * v for k, v in self.items()})
-
-    def __rmul__(self, factor) -> "LinComb":
-        return self.scaled(factor)
-
     def map_basis(self, fn) -> "LinComb":
         """Apply `fn` to every basis element, combining collisions."""
         out = LinComb()
@@ -100,29 +111,22 @@ def mono_sort_key(mono: tuple):
     return (len(mono), mono)
 
 
-def recursive_antipode(x, reduced, side: str, memo: dict | None) -> LinComb:
+def antipode_step(x, reduced_terms, side: str, antipode_of) -> LinComb:
     """S(x) = -x - sum S(l) r (left) or -x - sum l S(r_1)...S(r_n) (right) over
-    the (l, r, coeff) terms `reduced(x)` yields of the reduced coproduct of x.
-    `memo` holds the antipodes of one algebra, side and m (None: raw expansion);
-    its values are shared, so callers copy them."""
-    if memo is not None:
-        hit = memo.get(x)
-        if hit is not None:
-            return hit
+    the (l, r, coeff) terms of the reduced coproduct of x; `antipode_of` gives
+    the antipode of a smaller generator, memoized or not, and is only read."""
     if side not in {"left", "right"}:
         raise ValueError(f"side must be left or right, got {side!r}")
     acc = LinComb({(x,): -1})
-    for left, right, coeff in reduced(x):
+    for left, right, coeff in reduced_terms:
         if side == "left":
-            for mono, k in recursive_antipode(left, reduced, side, memo).items():
+            for mono, k in antipode_of(left).items():
                 acc.add_term(mono_mul(mono, right), -coeff * k)
         else:
             prod = LinComb({(left,): 1})
             for factor in right:
-                prod = poly_mul(prod, recursive_antipode(factor, reduced, side, memo))
+                prod = poly_mul(prod, antipode_of(factor))
             acc.add_comb(prod, -coeff)
-    if memo is not None:
-        memo[x] = acc
     return acc
 
 

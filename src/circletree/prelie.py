@@ -10,14 +10,12 @@ single-subset part of the coproduct.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .lincomb import LinComb
+from .lincomb import LinComb, memo
 from .trees import Rct
 from .words import shuffle
 
 
-@lru_cache(maxsize=None)
+@memo
 def _prelie_items(c: Rct, d: Rct) -> tuple[tuple[Rct, int], ...]:
     out = LinComb()
     word = c.word

@@ -9,9 +9,8 @@ other letter weight 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .lincomb import LinComb, scale_to_ints
+from .lincomb import LinComb, memo, scale_to_ints
 
 Word = tuple[int, ...]
 
@@ -27,7 +26,7 @@ def word_degree(word: Word) -> int:
     return sum(letter_weight(letter) for letter in word)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _shuffle_items(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     if not u:
         return ((v, 1),)

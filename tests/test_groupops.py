@@ -237,6 +237,15 @@ def test_products_refuse_a_length_beyond_their_factors():
                 product(a, b, 4)
 
 
+def test_products_refuse_a_negative_length():
+    c = Series(1, 1, 2, {(1, ()): 1, (1, (1,)): 1})
+    d = Series(1, 1, 2, {(1, ()): 1})
+    for product in (compose, mod_compose, hat_compose, group_product):
+        with pytest.raises(ValueError, match="negative length -1"):
+            product(c, d, -1)
+        assert product(c, d, 0) == product(c, d).truncated(0)
+
+
 # ---------------------------------------------------------------------------
 # characters, convolution, derivation-like functionals
 

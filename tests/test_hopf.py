@@ -4,7 +4,7 @@ import pkgutil
 import pytest
 
 import circletree
-from circletree import checks, coordmaps, hopf
+from circletree import checks, coordmaps, hopf, lincomb
 from circletree.hopf import (
     antipode_forest,
     antipode_poly,
@@ -184,6 +184,14 @@ def test_forest_equals_both_recursions_at_degree_15():
     assert forest == antipode_recursive(c, 1, "right") == antipode_recursive(c, 1, "left")
 
 
+def test_table1_past_the_paper():
+    # the paper's Table 1 stops at degree 15; both right recursions agree beyond it
+    for k, distinct in {8: 2859, 9: 7579}.items():
+        c = Rct(1, (0,) * k)
+        assert len(antipode_recursive(c, 1, "right")) == distinct, 2 * k + 1
+        assert len(coordmaps.antipode(coordmaps.to_coord_map(c), 1, "right")) == distinct
+
+
 def test_antipode_stats_independent_of_cache_state():
     expected = {
         (Rct(1, (0, 0, 0, 0)), 1): (872, 50, 722),
@@ -212,13 +220,13 @@ def test_clear_caches_empties_every_memo_table():
         module = importlib.import_module(f"circletree.{info.name}")
         caches += [obj for obj in vars(module).values()
                    if callable(getattr(obj, "cache_info", None))]
-    assert len(caches) >= 5
+    # the module scan and the registry find the same tables, antipodes included
+    assert sorted(map(id, caches)) == sorted(map(id, lincomb._MEMO_TABLES))
+    assert hopf._antipode in caches and coordmaps._antipode in caches
+    assert len(caches) == 7
     assert all(cache.cache_info().currsize for cache in caches)
-    assert hopf._ANTIPODE_CACHE and coordmaps._ANTIPODE_CACHE
     hopf.clear_caches()
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
-    assert not hopf._ANTIPODE_CACHE
-    assert not coordmaps._ANTIPODE_CACHE
 
 
 def test_every_exported_name_resolves():
@@ -232,8 +240,10 @@ def test_every_exported_name_resolves():
 
 def test_memoization_toggle():
     c = Rct(1, (0, 0, 1))
-    with_memo = antipode_recursive(c, 2, "left", memoize=True)
+    hopf.clear_caches()
     without = antipode_recursive(c, 2, "left", memoize=False)
+    assert hopf._antipode.cache_info().currsize == 0  # the raw run fills no antipode table
+    with_memo = antipode_recursive(c, 2, "left", memoize=True)
     assert with_memo == without
 
 
