@@ -76,10 +76,16 @@ def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[CoordMap, CMon
     return tuple((left, right, coeff) for (left, right), coeff in acc.items())
 
 
+def tilde_terms(a: CoordMap, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
+    """The combined terms (left single map, right monomial, coefficient) of
+    tilde_delta(a, m), read from the memo table without copying."""
+    return _tilde_items(a.channel, a.word, m)
+
+
 def tilde_delta(a: CoordMap, m: int) -> LinComb:
     """Coproduct dual to the modified composition product."""
     out = LinComb()
-    for left, right, coeff in _tilde_items(a.channel, a.word, m):
+    for left, right, coeff in tilde_terms(a, m):
         out.add_term(((left,), right), coeff)
     return out
 
@@ -98,7 +104,7 @@ def reduced_delta(a: CoordMap, m: int) -> LinComb:
 
 
 def _reduced_items(a: CoordMap, m: int):
-    for left, right, coeff in _tilde_items(a.channel, a.word, m):
+    for left, right, coeff in tilde_terms(a, m):
         if right or left != a:  # the left-primitive part is not in the reduced coproduct
             yield left, right, coeff
 
@@ -155,7 +161,9 @@ def parse_coord_map(text: str, m: int | None = None) -> CoordMap:
         raise ValueError(f"malformed coordinate map {text!r}")
     channel_text, word_text = inner.split(";", 1)
     channel = int(channel_text)
-    if channel < 1 or (m is not None and channel > m):
+    if m is None and channel < 1:
+        raise ValueError(f"channel {channel} must be >= 1")
+    if m is not None and not 1 <= channel <= m:
         raise ValueError(f"channel {channel} outside 1..{m}")
     return CoordMap(channel, parse_word(word_text, m))
 

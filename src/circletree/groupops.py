@@ -8,10 +8,13 @@ Four products, all exact and all closed under length truncation:
 * group_product: both factors shifted -- the feedback group product.
 
 The cascade homomorphism treats the integrator channel of the right
-factor as the constant 1; the modified one treats it as 0.  Each word is
-folded on ints scaled by common denominators.  Group inversion iterates
-the fixed point d = -mod_compose(c, d); antipode evaluation, the paper's
-route, is kept as the reference `antipode_inverse`.
+factor as the constant 1; the modified one treats it as 0.  The words of
+the left factor are folded on ints scaled by common denominators, and a
+suffix that several words share is folded once per product.  Group
+inversion iterates the fixed point d = mod_compose(-c, d), negating c
+once; antipode evaluation, the paper's route, is kept as the reference
+`antipode_inverse`.  Convolution reads the memoized feedback-coproduct
+terms of `coordmaps` directly.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .coordmaps import CoordMap, antipode, format_coord_map, full_delta
+from .coordmaps import CoordMap, antipode, format_coord_map, tilde_terms
 from .lincomb import as_fraction, scale_to_ints
 from .series import Series, add, zero_series
 from .words import shuffle_ints
@@ -33,16 +36,24 @@ def _require_composable(c: Series, d: Series) -> None:
         raise ValueError(f"alphabet mismatch: left m={c.m}, right m={d.m}")
 
 
-def _fold_word(word, d_ints: dict, den: int, max_len: int, modified: bool) -> dict:
+def _fold_word(word, images: dict, d_ints: dict, den: int, max_len: int,
+               modified: bool) -> dict:
     """den**len(word) times the image of one word under the (modified) cascade
     homomorphism applied to 1; d_ints[i] is den times channel i of the right factor.
 
-    A prepend multiplies by den; a shuffle with den * d_i carries its own.
-    Shuffled words start with the integrator letter, which never prepends
-    where a shuffle happens, so the two parts never share a word.
+    The image of a.u is one step on the image of u that reads only the letter
+    a, so `images` maps every suffix folded so far to its image (seeded with
+    () -> {(): 1}) and each suffix is folded once per product, for all channels
+    and words.  A prepend multiplies by den; a shuffle with den * d_i carries
+    its own.  Shuffled words start with the integrator letter, which never
+    prepends where a shuffle happens, so the two parts never share a word.
     """
-    acc = {(): 1}
-    for letter in reversed(word):
+    start = 0
+    while word[start:] not in images:  # every suffix of a folded word is folded
+        start += 1
+    acc = images[word[start:]]
+    for i in range(start - 1, -1, -1):
+        letter = word[i]
         if modified:
             out = {(letter,) + w: den * coeff for w, coeff in acc.items() if len(w) < max_len}
             d_i = d_ints.get(letter)  # the integrator channel is 0: no key 0
@@ -52,9 +63,7 @@ def _fold_word(word, d_ints: dict, den: int, max_len: int, modified: bool) -> di
         if d_i:
             for w, coeff in shuffle_ints(d_i, acc, max_len - 1).items():
                 out[(0,) + w] = coeff
-        acc = out
-        if not acc:
-            break
+        acc = images[word[i:]] = out
     return acc
 
 
@@ -78,14 +87,12 @@ def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None) -> 
     # every word of length n <= length is scaled by den**(length - n) on top of
     # its den**n, so each channel sums over the one denominator c_den * den**length
     scaled_c, c_den = scale_to_ints(c.coeffs)
-    images: dict = {}
+    images: dict = {(): {(): 1}}
     totals: dict = {}
     for (ch, word), coeff in scaled_c.items():
         if len(word) > length:
             continue  # its image has only longer words
-        image = images.get(word)
-        if image is None:
-            image = images[word] = _fold_word(word, d_ints, den, length, modified)
+        image = _fold_word(word, images, d_ints, den, length, modified)
         scale = coeff * den ** (length - len(word))
         for w, k in image.items():
             totals[ch, w] = totals.get((ch, w), 0) + scale * k
@@ -170,13 +177,14 @@ def group_inverse(c: Series, max_len: int | None = None) -> Series:
     c (.) d = d + mod_compose(c, d) vanishes there (Gray & Li 2005).  Length-n
     words of mod_compose(c, d) read d only below length n, so each round from
     zero fixes one more length: length + 1 rounds are exact, at a cost set by
-    the support of c (truncated to the target length first).
+    the support of c (truncated to the target length first).  mod_compose is
+    linear in its left factor, so each round is mod_compose(-c, d).
     """
     length = _inverse_length(c, max_len)
-    c = c.truncated(length)
+    minus_c = -c.truncated(length)
     d = zero_series(c.m, c.m, length)
     for _ in range(length + 1):
-        d = -mod_compose(c, d, length)
+        d = mod_compose(minus_c, d, length)
     return d
 
 
@@ -202,10 +210,12 @@ def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:
     if any(letter > m for letter in a.word):
         raise ValueError(f"coordinate map {format_coord_map(a)} has a letter above m={m}")
     total = Fraction(0)
-    for (left, right), coeff in full_delta(a, m).items():
-        value = phi.eval_monomial(left)
+    for left, right, coeff in tilde_terms(a, m):
+        value = phi.eval_map(left)
         if value:
             value *= psi.eval_monomial(right)
         if value:
             total += coeff * value
-    return total
+    # the right-primitive term 1 (x) a of the full coproduct comes last, so a
+    # word past psi's truncation is reported where the tilde terms meet it
+    return total + psi.eval_map(a)

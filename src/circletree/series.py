@@ -14,6 +14,9 @@ from .lincomb import LinComb, as_fraction, format_rational, parse_rational
 from .words import Word, format_word, parse_word, shuffle_polys
 
 
+_ZERO = Fraction(0)  # Fraction is immutable, so every miss can share it
+
+
 def _frozen(self, *_args):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -76,7 +79,7 @@ class Series:
         return out
 
     def coeff(self, channel: int, word: Word) -> Fraction:
-        return self.coeffs.get((channel, tuple(word)), Fraction(0))
+        return self.coeffs.get((channel, tuple(word)), _ZERO)
 
     def channel_poly(self, channel: int) -> LinComb:
         out = LinComb()
@@ -201,12 +204,32 @@ def series_to_doc(a: Series) -> dict:
     }
 
 
+_JSON_TYPES = {list: "array", int: "integer", str: "string"}
+
+
+def _doc_field(obj: dict, name: str, kind: type):
+    """obj[name] if it has the JSON type `kind` (a bool is no integer); a
+    missing field raises KeyError, a wrongly typed one ValueError."""
+    value = obj[name]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"field {name!r} must be a JSON {_JSON_TYPES[kind]}, not {value!r}")
+    return value
+
+
 def series_from_doc(doc: dict) -> Series:
+    """The series of a document as `series_to_doc` writes it; ValueError if the
+    document or a field has the wrong JSON type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"series document must be a JSON object, not {type(doc).__name__}")
     coeffs = {}
-    for term in doc["terms"]:
-        key = (int(term["channel"]), parse_word(term["word"], int(doc["m"])))
-        coeffs[key] = coeffs.get(key, Fraction(0)) + parse_rational(term["coeff"])
-    return Series(int(doc["ell"]), int(doc["m"]), int(doc["max_len"]), coeffs)
+    for term in _doc_field(doc, "terms", list):
+        if not isinstance(term, dict):
+            raise ValueError(f"series term must be a JSON object, not {term!r}")
+        key = (_doc_field(term, "channel", int),
+               parse_word(_doc_field(term, "word", str), _doc_field(doc, "m", int)))
+        coeffs[key] = coeffs.get(key, Fraction(0)) + parse_rational(
+            _doc_field(term, "coeff", str))
+    return Series(*(_doc_field(doc, name, int) for name in ("ell", "m", "max_len")), coeffs)
 
 
 def dumps_json(a: Series) -> str:

@@ -291,7 +291,9 @@ def parse_rct(text: str, m: int | None = None) -> Rct:
         root = int(root_text)
     except ValueError as exc:
         raise ValueError(f"malformed root in {text!r}") from exc
-    if root < 1 or (m is not None and root > m):
+    if m is None and root < 1:
+        raise ValueError(f"root label {root} must be >= 1")
+    if m is not None and not 1 <= root <= m:
         raise ValueError(f"root label {root} outside 1..{m}")
     return Rct(root, parse_word(word_text, m))
 

@@ -4,8 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import circletree
 from circletree.cli import main
+
+
+def _env_with_src() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(circletree.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def run_cli(capsys, *argv):
@@ -77,12 +86,9 @@ def test_antipode_default_method_prints_the_left_bytes(capsys):
 def test_cli_import_leaves_numpy_unloaded():
     """`import circletree.cli` loads no numpy and none of the heavy stdlib
     modules; only what the import adds counts, not what `site` loaded."""
-    src = str(Path(circletree.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     probe = ("import sys; before = set(sys.modules); import circletree.cli; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
                             capture_output=True, text=True, check=True)
     added = set(result.stdout.split())
     assert "circletree.cli" in added
@@ -141,6 +147,19 @@ def test_json_roundtrip_through_cli(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "series document must be a JSON object, not list"),
+    ('{"ell": 1, "m": 1, "max_len": 1, "terms": [{"channel": 1, "word": "1", "coeff": 2}]}',
+     "field 'coeff' must be a JSON string, not 2"),
+])
+def test_wrongly_typed_json_is_a_parse_error(tmp_path, capsys, text, message):
+    path = tmp_path / "j.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "invert", str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse series {path}: {message}\n"
+
+
 def test_invert_command(tmp_path, capsys):
     a = tmp_path / "a.series"
     a.write_text("1 1 1\n2 2 1\n")
@@ -171,6 +190,19 @@ def test_convolve_rejects_a_map_outside_the_alphabet(tmp_path, capsys):
     code, out, err = run_cli(capsys, "convolve", str(sq), str(sq), "--coordmap", "a[1;5]")
     assert (code, out) == (3, "")
     assert "above m=1" in err
+
+
+def test_convolve_reports_the_tilde_terms_before_the_right_primitive_one(tmp_path, capsys):
+    """The right factor is known to length 1 only: the first word past it is
+    met in a tilde term, a[1;1.2], before the right-primitive a[1;0.1.2]."""
+    long_series = tmp_path / "A.series"
+    short_series = tmp_path / "short.series"
+    long_series.write_text("1 1 1\n1 0.1.2 1\n")  # natural length 3
+    short_series.write_text("1 1 1\n")  # natural length 1
+    code, out, err = run_cli(capsys, "convolve", str(long_series), str(short_series),
+                             "--ell", "2", "--m", "2", "--coordmap", "a[1;0.1.2]")
+    assert (code, out) == (3, "")
+    assert err == "error: word (1, 2) exceeds the series truncation 1\n"
 
 
 def test_numcheck_command(capsys):
@@ -246,6 +278,22 @@ def test_parse_error_exit_code(capsys):
     assert "error:" in err
     code, _, err = run_cli(capsys, "subsets", "--rct", "3:0", "--m", "2")
     assert code == 2
+
+
+def test_labels_below_one_without_m_are_parse_errors(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "degree", "--rct", "0:e")
+    assert (code, out, err) == (2, "", "error: root label 0 must be >= 1\n")
+    sq = tmp_path / "sq.series"
+    sq.write_text("1 e 2\n1 1 1\n")
+    code, out, err = run_cli(capsys, "convolve", str(sq), str(sq), "--coordmap", "a[0;1]")
+    assert (code, out, err) == (2, "", "error: channel 0 must be >= 1\n")
+
+
+def test_python_m_circletree_runs_the_cli():
+    result = subprocess.run([sys.executable, "-m", "circletree", "shuffle", "0.1", "2", "--m", "2"],
+                            env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == ["0.1.2 1", "0.2.1 1", "2.0.1 1"]
 
 
 def test_semantic_error_exit_code(tmp_path, capsys):

@@ -11,9 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circletree.groupops import antipode_inverse, group_inverse, group_product
+from circletree.groupops import (
+    antipode_inverse,
+    compose,
+    group_inverse,
+    group_product,
+    hat_compose,
+    mod_compose,
+)
 from circletree.lincomb import LinComb
-from circletree.series import Series
+from circletree.series import Series, add
 from circletree.words import shuffle, shuffle_polys
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -25,8 +32,8 @@ coefficients = st.one_of(
 ).filter(bool)
 
 
-def words(max_letter: int, max_len: int):
-    return st.lists(st.integers(0, max_letter), max_size=max_len).map(tuple)
+def words(max_letter: int, max_len: int, min_len: int = 0):
+    return st.lists(st.integers(0, max_letter), min_size=min_len, max_size=max_len).map(tuple)
 
 
 def word_polys(max_letter: int = 2, max_len: int = 3):
@@ -39,6 +46,18 @@ def square_series(m: int, length: int):
         lambda coeffs: Series(m, m, length, coeffs))
 
 
+def suffix_sharing_series(ell: int, m: int, length: int):
+    """Series of up to 6 terms whose words, up to 5 letters, put a head of 1 or 2
+    letters on one of 2 tails of 1 to 3 letters, so words share suffixes."""
+    tails = st.tuples(words(m, 3, 1), words(m, 3, 1))
+    terms = st.lists(st.tuples(st.integers(1, ell), words(m, 2, 1), st.integers(0, 1),
+                               coefficients), min_size=2, max_size=6)
+    return st.builds(
+        lambda tails, terms: Series(ell, m, length, {
+            (channel, head + tails[pick]): k for channel, head, pick, k in terms}),
+        tails, terms)
+
+
 def reference_shuffle(p: LinComb, q: LinComb, max_len) -> LinComb:
     """Term-by-term Fraction expansion through the word shuffle."""
     out = LinComb()
@@ -49,6 +68,35 @@ def reference_shuffle(p: LinComb, q: LinComb, max_len) -> LinComb:
             for word, mult in shuffle(u, v).items():
                 out.add_term(word, Fraction(a) * Fraction(b) * mult)
     return out
+
+
+def reference_image(word, d: Series, max_len: int, modified: bool) -> LinComb:
+    """One word's image under the (modified) cascade homomorphism applied to 1,
+    folded letter by letter on Fractions with nothing shared between words:
+    x_i -> [x_i +] x_0 (d_i shuffle .), where d_0 is 1 (plain) or 0 (modified)."""
+    acc = LinComb({(): Fraction(1)})
+    for letter in reversed(word):
+        out = LinComb()
+        if modified:
+            for w, k in acc.items():
+                if len(w) < max_len:
+                    out.add_term((letter,) + w, k)
+        if letter:
+            d_i = d.channel_poly(letter)
+        else:
+            d_i = LinComb() if modified else LinComb({(): 1})
+        for w, k in reference_shuffle(d_i, acc, max_len - 1).items():
+            out.add_term((0,) + w, k)
+        acc = out
+    return acc
+
+
+def reference_compose(c: Series, d: Series, max_len: int, modified: bool) -> Series:
+    coeffs = LinComb()
+    for (channel, word), k in c.coeffs.items():
+        for w, v in reference_image(word, d, max_len, modified).items():
+            coeffs.add_term((channel, w), k * v)
+    return Series(c.ell, c.m, max_len, coeffs)
 
 
 @FIXED
@@ -67,6 +115,26 @@ def test_shuffle_polys_drops_cancelled_terms(a, max_len):
     q = LinComb({(1,): 1, (2,): Fraction(1)})
     expected = {} if max_len == 1 else {(1, 1): 2 * a, (2, 2): -2 * a}
     assert shuffle_polys(p, q, max_len) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@settings(FIXED, max_examples=40)
+@given(st.data())
+def test_composition_products_match_a_per_word_fraction_fold(m, data):
+    """The products fold shared suffixes once on ints; the reference folds each
+    word alone on Fractions.  The left factor of compose and mod_compose is not
+    square, and max_len is below the factors' truncation 5."""
+    c = data.draw(suffix_sharing_series(m + 1, m, 5), label="c")
+    square = data.draw(suffix_sharing_series(m, m, 5), label="square")
+    d = data.draw(square_series(m, 5), label="d")
+    max_len = data.draw(st.integers(0, 4), label="max_len")
+    assert compose(c, d, max_len) == reference_compose(c, d, max_len, False)
+    assert mod_compose(c, d, max_len) == reference_compose(c, d, max_len, True)
+    shifted = d.truncated(max_len)
+    assert hat_compose(square, d, max_len) == add(
+        shifted, reference_compose(square, d, max_len, False))
+    assert group_product(square, d, max_len) == add(
+        shifted, reference_compose(square, d, max_len, True))
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -139,6 +139,26 @@ def test_json_roundtrip():
     assert back == a
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([], "must be a JSON object, not list"),
+    ({"ell": 1, "m": 1, "max_len": 1, "terms": {}}, "'terms' must be a JSON array"),
+    ({"ell": 1, "m": 1, "max_len": 1, "terms": [3]}, "term must be a JSON object, not 3"),
+    ({"ell": 1, "m": 1, "max_len": 1, "terms": [{"channel": 1, "word": "1", "coeff": 2}]},
+     "'coeff' must be a JSON string, not 2"),
+    ({"ell": 1, "m": 1, "max_len": 1, "terms": [{"channel": "1", "word": "1", "coeff": "2"}]},
+     "'channel' must be a JSON integer"),
+    ({"ell": 1, "m": 1, "max_len": 1, "terms": [{"channel": 1, "word": 1, "coeff": "2"}]},
+     "'word' must be a JSON string"),
+    ({"ell": True, "m": 1, "max_len": 1, "terms": []}, "'ell' must be a JSON integer"),
+    ({"ell": 1, "m": 1.0, "max_len": 1, "terms": []}, "'m' must be a JSON integer"),
+])
+def test_json_rejects_wrongly_typed_documents(doc, message):
+    import json
+
+    with pytest.raises(ValueError, match=message):
+        loads_json(json.dumps(doc))
+
+
 def test_shuffle_product_passes_the_constructor_checks():
     """The unchecked result of shuffle_product equals its validated rebuild,
     with Fraction values also where every coefficient is an integer."""
