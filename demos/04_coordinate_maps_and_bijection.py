@@ -3,8 +3,10 @@
 
 The coproduct on coordinate maps is built from prepend-operator
 recursions, never from extraction combinatorics, yet transporting the
-tree coproduct through channel/word identification gives exactly the
-same answer.  That cross-check is what certifies both implementations.
+tree coproduct by its definition, one term per labelled admissible
+extraction, through channel/word identification gives exactly the same
+answer.  The library's tree coproduct reads the recursion through that
+bijection, so this cross-check is what certifies both.
 """
 
 from circletree.coordmaps import (
@@ -17,7 +19,7 @@ from circletree.coordmaps import (
     to_coord_map,
     tree_tensor_to_coord,
 )
-from circletree.hopf import coproduct
+from circletree.hopf import extraction_coproduct
 from circletree.lincomb import format_rational
 from circletree.trees import Rct
 
@@ -30,9 +32,9 @@ print("\nantipode of a[1;0] at m=2:")
 print(format_poly(antipode(CoordMap(1, (0,)), 2)))
 
 c = Rct(1, (0, 0))
-lhs = tree_tensor_to_coord(coproduct(c, 1))
+lhs = tree_tensor_to_coord(extraction_coproduct(c, 1))
 rhs = full_delta(to_coord_map(c), 1)
 assert lhs == rhs
-print("\ntree coproduct of 1:0.0, transported, equals the recursion-built one:")
+print("\nextraction sum of 1:0.0, transported, equals the recursion-built coproduct:")
 for (left, right), coeff in sorted(rhs.items()):
     print(f"  {format_cmono(left)} (x) {format_cmono(right)}  {format_rational(coeff)}")

@@ -111,10 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("subsets", help="admissible position subsets of a tree", parents=[tree])
 
     p = sub.add_parser("extractions", help="extraction families of a tree", parents=[tree])
-    p.add_argument("--all", action="store_true",
-                   help="general (disjoint-or-nested) families instead of admissible ones")
-    p.add_argument("--include-trivial", action="store_true",
-                   help="list the empty and total extractions too")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--all", action="store_true",
+                       help="general (disjoint-or-nested) families instead of admissible ones")
+    group.add_argument("--include-trivial", action="store_true",
+                       help="list the empty and total extractions too")
 
     p = sub.add_parser("coproduct", help="coproduct of a tree", parents=[tree])
     p.add_argument("--reduced", action="store_true")
@@ -227,6 +228,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "table1":
+        if args.max_degree < 3:
+            raise CliError(f"--max-degree {args.max_degree} is below 3, the first row of the "
+                           "table", PARSE_ERROR)
         print("degree,distinct_terms")
         k = 1
         while 2 * k + 1 <= args.max_degree:

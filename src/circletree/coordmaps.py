@@ -4,10 +4,11 @@ A coordinate map picks out one coefficient of a vector-valued series:
 channel i, word eta.  The coproduct here is *not* computed through
 extraction combinatorics; it is built from the three recursions on the
 prepend operators (deshuffle coproduct, then the feedback coproduct,
-then the full one).  That makes this module an implementation of the
-same Hopf algebra that `hopf` realises on circle trees, reached by a
-completely different route, so the two can cross-check each other via
-the channel/word bijection at the bottom of this file.
+then the full one), which give its terms already combined.  It is the
+same Hopf algebra that `hopf` realises on circle trees, and `hopf` reads
+its coproduct from `tilde_terms` through the channel/word bijection at
+the bottom of this file; the extraction sum `hopf.extraction_coproduct`
+is the independent reference both are checked against.
 
 Tensor values share the monomial-pair convention of `hopf`: keys are
 (left monomial, right monomial) with single-map monomials of length 1.

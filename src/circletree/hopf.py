@@ -3,9 +3,11 @@
 Monomials are multisets of trees (canonically sorted tuples); the empty
 tuple is the algebra unit.  The coproduct sums quotient (x) extracted
 sub-trees over admissible extractions, with every extraction label
-expanded concretely over 1..m and equal terms combined.  The coproduct
-and every antipode route run on the bitmask extraction kernel of
-`trees`.  The antipode comes three ways:
+expanded concretely over 1..m.  It is the coordinate-map coproduct, so
+its combined terms are read from the prepend recursion of `coordmaps`
+through the bijection; `extraction_coproduct`, the definition term by
+term, is the reference both are checked against.  The antipode comes
+three ways:
 
 * right recursion, S(c) = -c - sum q S(r_1)...S(r_n), the default: it is
   the closed forest formula in factored form (Menous-Patras), so it never
@@ -13,8 +15,8 @@ and every antipode route run on the bitmask extraction kernel of
 * left recursion, S(c) = -c - sum S(q) r_1...r_n, kept as a cross-check;
   its raw expansion cancels heavily, which `antipode_stats` counts;
 * the closed forest formula, one signed monomial per general extraction
-  and labelling, never mixing signs on a monomial: the oracle of the
-  recursions and the route of the forest statistics.
+  and labelling, never mixing signs on a monomial: the independent oracle
+  of the recursions and the route of the forest statistics.
 
 Both recursions run on `lincomb.antipode_step`, shared with the
 coordinate-map algebra, over the combined coproduct terms.  One `memo`
@@ -28,9 +30,11 @@ from itertools import product
 from typing import Iterator, NamedTuple
 
 from . import lincomb
+from .coordmaps import tilde_terms, to_coord_map, to_rct
 from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, memo,
                       mono_mul, mono_sort_key)
-from .trees import Rct, Word, bit_indices, degree, format_rct, labelled_extractions
+from .trees import (Rct, Word, bit_indices, degree, enumerate_admissible_extractions, format_rct,
+                    labelled_extractions, quotient, restrict)
 
 Monomial = tuple[Rct, ...]
 
@@ -52,15 +56,25 @@ def tensor_mul(s: LinComb, t: LinComb) -> LinComb:
 @memo
 def _proper_items(c: Rct, m: int) -> tuple[tuple[Rct, Monomial, int], ...]:
     """(quotient, sub-trees, multiplicity) of the proper admissible extractions,
-    labels expanded, equal pairs combined."""
-    word = c.word
-    acc = LinComb()
-    for family, labels, qword in labelled_extractions(word, (1 << len(word)) - 1, m)[1:]:
-        rest = tuple(sorted(
-            Rct(label, tuple(word[i] for i in bit_indices(block)[1:]))
-            for block, label in zip(family, labels)))
-        acc.add_term((Rct(c.root, qword), rest), 1)
-    return tuple((q, rest, k) for (q, rest), k in acc.items())
+    labels expanded, equal pairs combined: the coordinate-map feedback
+    coproduct of c through the bijection, less its left-primitive term (the
+    one with an empty right leg)."""
+    return tuple((to_rct(left), tuple(map(to_rct, right)), k)
+                 for left, right, k in tilde_terms(to_coord_map(c), m) if right)
+
+
+def extraction_coproduct(c: Rct, m: int) -> LinComb:
+    """The coproduct by its definition: quotient (x) extracted sub-trees, one
+    term per admissible extraction and labelling of its blocks, plus both
+    primitive terms.  It enumerates every labelled family, so it is the
+    reference `coproduct` is checked against, not a route of the algebra."""
+    out = LinComb({((c,), UNIT): 1, (UNIT, (c,)): 1})
+    for extraction in enumerate_admissible_extractions(c):
+        subsets = extraction.subsets
+        for labels in product(range(1, m + 1), repeat=len(subsets)):
+            rest = tuple(sorted(restrict(c, s, n, m) for s, n in zip(subsets, labels)))
+            out.add_term(((quotient(c, subsets, labels, m),), rest), 1)
+    return out
 
 
 def reduced_coproduct(c: Rct, m: int) -> LinComb:

@@ -32,9 +32,9 @@ class Series:
     """Coefficients (channel, word) -> Fraction of an ell-output, (m+1)-letter
     series truncated at word length max_len.
 
-    The constructor checks every key against the shape, converts values to
-    Fraction and drops zeros.  Instances are immutable and unhashable, and
-    compare equal when shape and coefficients agree.
+    The constructor checks the shape and every key against it, converts
+    values to Fraction and drops zeros.  Instances are immutable and
+    unhashable, and compare equal when shape and coefficients agree.
     """
 
     __slots__ = ("ell", "m", "max_len", "coeffs")
@@ -42,6 +42,9 @@ class Series:
     __hash__ = None
 
     def __init__(self, ell: int, m: int, max_len: int, coeffs: dict | None = None):
+        if ell < 1 or m < 1 or max_len < 0:
+            raise ValueError(f"series shape ell={ell}, m={m}, max_len={max_len} needs "
+                             "ell >= 1, m >= 1 and max_len >= 0")
         clean: dict[tuple[int, Word], Fraction] = {}
         for (channel, word), value in (coeffs or {}).items():
             word = tuple(word)

@@ -129,7 +129,9 @@ def enumerate_all_extractions(c: Rct) -> list[Extraction]:
 
 
 # ---------------------------------------------------------------------------
-# bitmask extraction kernel shared by the coproduct and every antipode route
+# bitmask extraction kernel of the family listings, the forest formula and
+# the raw left-recursion count; the coproduct itself is read from the
+# coordinate-map recursion and never enumerates families.
 #
 # Position p is bit p-1 of a mask.  Families built here are admissible and
 # pairwise disjoint by construction, so quotients are assembled directly,

@@ -110,6 +110,24 @@ def test_stats_and_table1(capsys):
     ]
 
 
+def test_table1_rejects_a_table_without_rows(capsys):
+    for max_degree in ("2", "-5"):
+        code, out, err = run_cli(capsys, "table1", "--max-degree", max_degree)
+        assert (code, out) == (2, "")
+        assert "below 3" in err
+    code, out, _ = run_cli(capsys, "table1", "--max-degree", "3")
+    assert (code, out.splitlines()) == (0, ["degree,distinct_terms", "3,2"])
+
+
+def test_extractions_all_and_include_trivial_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extractions", "--rct", "1:0.0", "--m", "1", "--all", "--include-trivial"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --all" in captured.err
+
+
 def test_prelie_command(capsys):
     code, out, _ = run_cli(capsys, "prelie", "--left", "2:1", "--right", "1:e", "--m", "2")
     assert code == 0
@@ -158,6 +176,15 @@ def test_wrongly_typed_json_is_a_parse_error(tmp_path, capsys, text, message):
     code, out, err = run_cli(capsys, "invert", str(path), "--format", "json")
     assert (code, out) == (2, "")
     assert err == f"error: cannot parse series {path}: {message}\n"
+
+
+def test_json_shape_below_one_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "j.json"
+    path.write_text('{"ell": 0, "m": 0, "max_len": 2, "terms": []}')
+    for argv in (("invert", str(path)), ("group", str(path), str(path))):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot parse series {path}: series shape ell=0"), argv
 
 
 def test_invert_command(tmp_path, capsys):

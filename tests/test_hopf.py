@@ -184,12 +184,45 @@ def test_forest_equals_both_recursions_at_degree_15():
     assert forest == antipode_recursive(c, 1, "right") == antipode_recursive(c, 1, "left")
 
 
+def _extraction_right_antipode(c, m, table):
+    """Right recursion over the reduced terms of the extraction sum, a route
+    that shares no coproduct table with `hopf.antipode`."""
+    if c not in table:
+        terms = [(left[0], right, k)
+                 for (left, right), k in hopf.extraction_coproduct(c, m).items() if left and right]
+        table[c] = lincomb.antipode_step(
+            c, terms, "right", lambda x: _extraction_right_antipode(x, m, table))
+    return table[c]
+
+
 def test_table1_past_the_paper():
-    # the paper's Table 1 stops at degree 15; both right recursions agree beyond it
+    # the paper's Table 1 stops at degree 15; two coproduct routes agree beyond it
+    table: dict = {}
     for k, distinct in {8: 2859, 9: 7579}.items():
         c = Rct(1, (0,) * k)
-        assert len(antipode_recursive(c, 1, "right")) == distinct, 2 * k + 1
-        assert len(coordmaps.antipode(coordmaps.to_coord_map(c), 1, "right")) == distinct
+        assert len(hopf.antipode(c, 1)) == distinct, 2 * k + 1
+        assert len(_extraction_right_antipode(c, 1, table)) == distinct, 2 * k + 1
+    assert len(hopf.antipode(Rct(1, (0,) * 10), 1)) == 19901
+
+
+def test_coproduct_equals_the_extraction_sum_to_degree_11():
+    assert checks.check_iso_coproduct(11, 1) == 232
+
+
+def test_the_algebra_enumerates_no_extraction_family(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the algebra enumerated extraction families")
+
+    hopf.clear_caches()
+    monkeypatch.setattr(hopf, "labelled_extractions", refuse)
+    c = Rct(1, (0, 0, 1, 0))
+    assert coproduct(c, 2) and reduced_coproduct(c, 2) and linearized_coproduct(c, 2)
+    for side in ("left", "right"):
+        for memoize in (True, False):
+            assert antipode_recursive(c, 2, side, memoize)
+    with pytest.raises(AssertionError, match="enumerated"):
+        antipode_forest(c, 2)  # the forest formula is the route that does
+    hopf.clear_caches()
 
 
 def test_antipode_stats_independent_of_cache_state():

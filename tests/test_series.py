@@ -86,7 +86,11 @@ def test_constructor_validation():
         Series(1, 2, 4, {(1, (3,)): 1})  # letter out of range
     with pytest.raises(ValueError):
         Series(1, 2, 1, {(1, (1, 1)): 1})  # word too long
+    for shape in ((0, 2, 4), (1, 0, 4), (0, 0, 2), (1, 2, -1)):
+        with pytest.raises(ValueError, match="series shape"):
+            Series(*shape)  # no output, no letter x_1, or a negative truncation
     assert Series(1, 2, 4, {(1, (1,)): 0}).is_zero()
+    assert Series(1, 1, 0).is_zero()
 
 
 def test_series_value_semantics():
