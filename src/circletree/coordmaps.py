@@ -16,10 +16,11 @@ Tensor values share the monomial-pair convention of `hopf`: keys are
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from . import lincomb
-from .lincomb import LinComb, format_monomial, memo, mono_mul
+from .lincomb import LinComb, format_monomial, memo
 from .trees import Rct
 from .words import Word, format_word, parse_word, word_degree
 
@@ -42,38 +43,41 @@ def mono_degree(mono: CMono) -> int:
     return sum(degree(a) for a in mono)
 
 
+def _deshuffle_splits(word: Word) -> dict[tuple[Word, Word], int]:
+    """{(u, v): count} of the ordered subword pairs, in the order of the bitmask sent to v."""
+    splits = [((), ())]
+    for letter in word:
+        splits = [(u + (letter,), v) for u, v in splits] + [(u, v + (letter,)) for u, v in splits]
+    return Counter(splits)
+
+
 def deshuffle_coproduct(a: CoordMap, j: int) -> LinComb:
     """Split a's word into ordered subword pairs; the right legs live on channel j."""
-    out = LinComb()
-    word = a.word
-    k = len(word)
-    for mask in range(1 << k):
-        left = tuple(word[i] for i in range(k) if not mask >> i & 1)
-        right = tuple(word[i] for i in range(k) if mask >> i & 1)
-        out.add_term(((CoordMap(a.channel, left),), (CoordMap(j, right),)), 1)
-    return out
+    return LinComb({((CoordMap(a.channel, u),), (CoordMap(j, v),)): k
+                    for (u, v), k in _deshuffle_splits(a.word).items()})
 
 
 @memo
 def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
-    """Feedback coproduct terms (left single map, right monomial, coefficient)."""
+    """Feedback coproduct terms (left single map, right monomial, coefficient)
+    by the prepend recursion, one plain-dict update per term; no positive
+    coefficient cancels, so the terms keep the order they are first met in."""
     if not word:
         return ((CoordMap(channel, ()), UNIT, 1),)
     head, tail = word[0], word[1:]
-    acc = LinComb()
-    # prepending any letter acts on the left leg
-    for left, right, coeff in _tilde_items(channel, tail, m):
-        acc.add_term((CoordMap(left.channel, (head,) + left.word), right), coeff)
+    # prepending any letter acts on the left leg, which stays on `channel`
+    acc = {(CoordMap(channel, (head,) + left.word), right): coeff
+           for left, right, coeff in _tilde_items(channel, tail, m)}
+    get = acc.get
     if head == 0:
         # the integrator letter additionally couples to a deshuffle of the tail
+        splits = _deshuffle_splits(tail).items()
         for n in range(1, m + 1):
-            for (lmono, rmono), dcoeff in deshuffle_coproduct(CoordMap(channel, tail), n).items():
-                u = lmono[0]
-                v = rmono[0]
-                for left, right, coeff in _tilde_items(u.channel, u.word, m):
-                    acc.add_term(
-                        (CoordMap(left.channel, (n,) + left.word), mono_mul(right, (v,))),
-                        coeff * dcoeff)
+            for (u, v), dcoeff in splits:
+                vn = (CoordMap(n, v),)
+                for left, right, coeff in _tilde_items(channel, u, m):
+                    key = (CoordMap(channel, (n,) + left.word), tuple(sorted(right + vn)))
+                    acc[key] = get(key, 0) + coeff * dcoeff
     return tuple((left, right, coeff) for (left, right), coeff in acc.items())
 
 
@@ -104,15 +108,10 @@ def reduced_delta(a: CoordMap, m: int) -> LinComb:
     return out
 
 
-def _reduced_items(a: CoordMap, m: int):
-    for left, right, coeff in tilde_terms(a, m):
-        if right or left != a:  # the left-primitive part is not in the reduced coproduct
-            yield left, right, coeff
-
-
 @memo
 def _antipode(a: CoordMap, m: int, side: str) -> LinComb:
-    return lincomb.antipode_step(a, _reduced_items(a, m), side, lambda x: _antipode(x, m, side))
+    reduced = (term for term in tilde_terms(a, m) if term[1])  # less the left-primitive term
+    return lincomb.antipode_step(a, reduced, side, lambda x: _antipode(x, m, side))
 
 
 def antipode(a: CoordMap, m: int, side: str = "right") -> LinComb:

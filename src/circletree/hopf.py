@@ -16,12 +16,15 @@ three ways:
   its raw expansion cancels heavily, which `antipode_stats` counts;
 * the closed forest formula, one signed monomial per general extraction
   and labelling, never mixing signs on a monomial: the independent oracle
-  of the recursions and the route of the forest statistics.
+  of the recursions and the route of the forest statistics.  Its blocks
+  are bitmasks; `forest_signed_terms` lists them as position subsets.
 
 Both recursions run on `lincomb.antipode_step`, shared with the
 coordinate-map algebra, over the combined coproduct terms.  One `memo`
 table keyed by (tree, m, side) holds the antipodes; pass memoize=False
-to force the raw expansion, e.g. to time it.
+to force the raw expansion, e.g. to time it.  `antipode_stats` counts
+the terms of the raw left expansion as g(a) = 1 + sum k g(l) over the
+combined terms k l (x) r with r != 1.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from itertools import product
 from typing import Iterator, NamedTuple
 
 from . import lincomb
-from .coordmaps import tilde_terms, to_coord_map, to_rct
+from .coordmaps import CoordMap, tilde_terms, to_coord_map, to_rct
 from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, memo,
                       mono_mul, mono_sort_key)
 from .trees import (Rct, Word, bit_indices, degree, enumerate_admissible_extractions, format_rct,
@@ -129,41 +132,38 @@ def antipode_poly(p: LinComb, m: int, method: str = "right") -> LinComb:
 
 
 def _forest_terms(word: Word, mask: int, root: int, m: int, seen: dict) -> Iterator[tuple]:
-    """(subsets, factors) of every labelled general family of the tree with
+    """(blocks, factors) of every labelled general family of the tree with
     this root on the positions of `mask`: a top-level disjoint family, then a
-    general family inside each block below its minimum.  `seen` holds the
-    expansion of each (block, label) already met in this call."""
+    general family inside each block below its minimum; one factor per block
+    and the quotient.  `seen` holds each (block, label) expansion met so far."""
     for family, labels, qword in labelled_extractions(word, mask, m):
-        parts = []
+        terms = [(family, (Rct(root, qword),))]
         for block, label in zip(family, labels):
             inner = seen.get((block, label))
             if inner is None:
                 inner = seen[block, label] = list(
                     _forest_terms(word, block & (block - 1), label, m, seen))
-            parts.append(inner)
-        head_subsets = tuple(tuple(i + 1 for i in bit_indices(block)) for block in family)
-        head = (Rct(root, qword),)
-        for combo in product(*parts):
-            subsets, factors = head_subsets, head
-            for sub_subsets, sub_factors in combo:
-                subsets += sub_subsets
-                factors += sub_factors
-            yield subsets, factors
+            terms = [(blocks + sub_blocks, factors + sub_factors)
+                     for blocks, factors in terms for sub_blocks, sub_factors in inner]
+        yield from terms
 
 
 def forest_signed_terms(c: Rct, m: int) -> Iterator[tuple[tuple, Monomial, int]]:
-    """Signed monomials of the closed antipode formula, one per
-    (general extraction, label assignment); the extraction lists its subsets
-    in lexicographic order."""
-    for subsets, factors in _forest_terms(c.word, (1 << len(c.word)) - 1, c.root, m, {}):
-        yield tuple(sorted(subsets)), tuple(sorted(factors)), 1 if len(subsets) % 2 else -1
+    """Signed monomials of the closed antipode formula, one per (general
+    extraction, labelling); the extraction lists its subsets lexicographically."""
+    for blocks, factors in _forest_terms(c.word, (1 << len(c.word)) - 1, c.root, m, {}):
+        subsets = sorted(tuple(i + 1 for i in bit_indices(block)) for block in blocks)
+        yield tuple(subsets), tuple(sorted(factors)), 1 if len(blocks) % 2 else -1
 
 
 def antipode_forest(c: Rct, m: int) -> LinComb:
-    out = LinComb()
-    for _family, mono, sign in forest_signed_terms(c, m):
-        out.add_term(mono, sign)
-    return out
+    """Sum of the forest terms; a term of n factors has sign (-1)^n."""
+    acc: dict = {}
+    get = acc.get
+    for _blocks, factors in _forest_terms(c.word, (1 << len(c.word)) - 1, c.root, m, {}):
+        key = tuple(sorted(factors))
+        acc[key] = get(key, 0) + (-1 if len(factors) % 2 else 1)
+    return LinComb({key: k for key, k in acc.items() if k})
 
 
 def antipode(c: Rct, m: int, method: str = "right", memoize: bool = True) -> LinComb:
@@ -185,11 +185,9 @@ class StatsRecord(NamedTuple):
 
 
 @memo
-def _generated_count(word: Word, m: int) -> int:
-    """Signed monomials the raw left recursion would emit before combining,
-    counted through the quotients alone."""
-    extractions = labelled_extractions(word, (1 << len(word)) - 1, m)[1:]
-    return 1 + sum(_generated_count(qword, m) for _family, _labels, qword in extractions)
+def _generated_count(a: CoordMap, m: int) -> int:
+    """Signed monomials the raw left recursion emits for `a` before combining."""
+    return 1 + sum(k * _generated_count(left, m) for left, right, k in tilde_terms(a, m) if right)
 
 
 def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecord:
@@ -201,7 +199,7 @@ def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecor
             poly.add_term(mono, sign)
     elif method == "recursive_left":
         # the antipode is one element whichever route computes it
-        generated = _generated_count(c.word, m)
+        generated = _generated_count(to_coord_map(c), m)
         poly = antipode(c, m)
     else:
         raise ValueError(f"unknown stats method {method!r}")

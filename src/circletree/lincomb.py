@@ -7,15 +7,17 @@ coefficient that never stores a zero, so two combinations are equal as
 dicts exactly when they are equal as algebraic elements.
 
 The monomial algebra and the antipode step below are shared by the
-circle-tree and the coordinate-map algebras.  Every memo table of the
-package is made by `memo`, which registers it so that `clear_caches`
-empties them all.
+circle-tree and the coordinate-map algebras.  The step and `poly_mul`,
+the hot loops of both antipodes, add each term into a plain dict under
+its sorted monomial and drop the zeros once, on return.  Every memo
+table of the package is made by `memo`, which registers it so that
+`clear_caches` empties them all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 
 _MEMO_TABLES: list = []
@@ -95,12 +97,14 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
-def poly_mul(p: LinComb, q: LinComb) -> LinComb:
-    out = LinComb()
+def poly_mul(p: dict, q: dict) -> LinComb:
+    out: dict = {}
+    get = out.get
     for ma, ka in p.items():
         for mb, kb in q.items():
-            out.add_term(mono_mul(ma, mb), ka * kb)
-    return out
+            key = tuple(sorted(ma + mb))
+            out[key] = get(key, 0) + ka * kb
+    return LinComb({key: k for key, k in out.items() if k} if 0 in out.values() else out)
 
 
 def counit(p: LinComb):
@@ -117,17 +121,25 @@ def antipode_step(x, reduced_terms, side: str, antipode_of) -> LinComb:
     the antipode of a smaller generator, memoized or not, and is only read."""
     if side not in {"left", "right"}:
         raise ValueError(f"side must be left or right, got {side!r}")
-    acc = LinComb({(x,): -1})
-    for left, right, coeff in reduced_terms:
-        if side == "left":
+    acc = {(x,): -1}
+    get = acc.get
+    if side == "left":
+        for left, right, coeff in reduced_terms:
             for mono, k in antipode_of(left).items():
-                acc.add_term(mono_mul(mono, right), -coeff * k)
-        else:
-            prod = LinComb({(left,): 1})
-            for factor in right:
-                prod = poly_mul(prod, antipode_of(factor))
-            acc.add_comb(prod, -coeff)
-    return acc
+                key = tuple(sorted(mono + right))
+                acc[key] = get(key, 0) - coeff * k
+    else:
+        products: dict = {}  # S(r_1)...S(r_n), once per right leg; a reduced leg is not 1
+        for left, right, coeff in reduced_terms:
+            prod = products.get(right)
+            if prod is None:
+                prod = products[right] = reduce(
+                    poly_mul, map(antipode_of, right[1:]), antipode_of(right[0]))
+            for mono, k in prod.items():
+                key = tuple(sorted((left,) + mono))
+                acc[key] = get(key, 0) - coeff * k
+    # most steps are tiny and cancel nothing: copy those without a filter pass
+    return LinComb({key: k for key, k in acc.items() if k} if 0 in acc.values() else acc)
 
 
 def antipode_poly(p: LinComb, antipode_of) -> LinComb:
@@ -135,10 +147,7 @@ def antipode_poly(p: LinComb, antipode_of) -> LinComb:
     `antipode_of` gives the antipode of one generator."""
     out = LinComb()
     for mono, coeff in p.items():
-        acc = LinComb.single((), 1)
-        for factor in mono:
-            acc = poly_mul(acc, antipode_of(factor))
-        out.add_comb(acc, coeff)
+        out.add_comb(reduce(poly_mul, map(antipode_of, mono), {(): 1}), coeff)
     return out
 
 

@@ -72,35 +72,29 @@ def admissible_subsets(c: Rct) -> list[Subset]:
     return out
 
 
-def _compatible_general(cand: Subset, chosen: list[Subset]) -> bool:
-    # cand's minimum exceeds every chosen minimum, so nesting can only be cand inside chosen.
-    cset = set(cand)
-    for s in chosen:
-        if cand[0] == s[0]:
-            return False
-        sset = set(s)
-        if not (cset.isdisjoint(sset) or cset < sset):
-            return False
-    return True
-
-
 def iter_general_families(c: Rct) -> Iterator[tuple[Subset, ...]]:
     """Nonempty disjoint-or-nested families with pairwise distinct minima, in
-    lexicographic order; the independent oracle of the forest formula."""
+    lexicographic order, tested on bitmasks; the oracle of the forest formula."""
     subsets = admissible_subsets(c)
-    chosen: list[Subset] = []
+    masks = [sum(1 << p for p in s) for s in subsets]
 
-    def rec(start: int) -> Iterator[tuple[Subset, ...]]:
+    def rec(start: int, family: tuple, family_masks: tuple, minima: int) -> Iterator[tuple]:
         for idx in range(start, len(subsets)):
-            cand = subsets[idx]
-            if not _compatible_general(cand, chosen):
+            cand = masks[idx]
+            low = cand & -cand
+            if low & minima:
                 continue
-            chosen.append(cand)
-            yield tuple(chosen)
-            yield from rec(idx + 1)
-            chosen.pop()
+            # the candidate's minimum is above every chosen one, so it can
+            # only nest inside a chosen subset
+            for s in family_masks:
+                if (cand & s) not in (0, cand):
+                    break
+            else:
+                grown = family + (subsets[idx],)
+                yield grown
+                yield from rec(idx + 1, grown, family_masks + (cand,), minima | low)
 
-    yield from rec(0)
+    yield from rec(0, (), (), 0)
 
 
 def iter_admissible_families(c: Rct) -> Iterator[tuple[Subset, ...]]:
@@ -129,9 +123,9 @@ def enumerate_all_extractions(c: Rct) -> list[Extraction]:
 
 
 # ---------------------------------------------------------------------------
-# bitmask extraction kernel of the family listings, the forest formula and
-# the raw left-recursion count; the coproduct itself is read from the
-# coordinate-map recursion and never enumerates families.
+# bitmask extraction kernel of the family listings and the forest formula;
+# the coproduct and the raw left-recursion count are read from the
+# coordinate-map recursion and never enumerate families.
 #
 # Position p is bit p-1 of a mask.  Families built here are admissible and
 # pairwise disjoint by construction, so quotients are assembled directly,

@@ -21,7 +21,7 @@ from circletree.hopf import (
 )
 from circletree.lincomb import LinComb
 from circletree.prelie import prelie_product
-from circletree.trees import Rct, iter_general_families, iter_rcts
+from circletree.trees import Rct, iter_general_families, iter_rcts, labelled_extractions
 from circletree.words import shuffle
 
 
@@ -164,6 +164,40 @@ def test_antipode_stats():
     assert forest.generated == 26
     assert forest.distinct == 17
     assert forest.cancelled_mass == 0
+
+
+def _enumerated_count(word, m, table):
+    """Raw left-recursion terms counted by enumerating every labelled family
+    of every quotient word."""
+    if word not in table:
+        families = labelled_extractions(word, (1 << len(word)) - 1, m)[1:]
+        table[word] = 1 + sum(_enumerated_count(qword, m, table) for _f, _l, qword in families)
+    return table[word]
+
+
+def test_generated_count_matches_a_family_enumeration():
+    ladder = [Rct(1, (0,) * k) for k in range(1, 7)]  # degrees 3..13
+    for m, rcts in ((2, iter_rcts(8, 2)), (1, ladder)):
+        table: dict = {}
+        for c in rcts:
+            assert antipode_stats(c, m).generated == _enumerated_count(c.word, m, table), (c, m)
+
+
+def test_no_zero_coefficient_is_stored():
+    # no step of the algebra below cancels a monomial outright, so these inputs do
+    u, v, x = Rct(1, ()), Rct(2, ()), Rct(1, (0,))
+    assert lincomb.poly_mul({(u,): 1, (v,): 1}, {(u,): 1, (v,): -1}) == {(u, u): 1, (v, v): -1}
+    for side in ("left", "right"):
+        cancelling = [(u, (v,), 1), (u, (v,), -1)]
+        step = lincomb.antipode_step(x, cancelling, side, lambda g: LinComb({(g,): -1}))
+        assert step == {(x,): -1}, side
+    for c in iter_rcts(8, 2):
+        a = coordmaps.to_coord_map(c)
+        polys = [hopf.antipode(c, 2, method) for method in ("left", "right", "forest")]
+        polys += [coordmaps.antipode(a, 2, side) for side in ("left", "right")]
+        for p in polys:
+            assert all(p.values()), c
+        assert all(k for _left, _right, k in coordmaps.tilde_terms(a, 2)), c
 
 
 def test_forest_families_are_the_general_families():

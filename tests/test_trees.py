@@ -11,6 +11,7 @@ from circletree.trees import (
     enumerate_admissible_extractions,
     enumerate_all_extractions,
     format_rct,
+    iter_general_families,
     iter_rcts,
     parse_rct,
     parse_subset,
@@ -106,15 +107,18 @@ def test_all_extractions_examples():
 
 
 @pytest.mark.parametrize("word", [
-    (0,), (0, 0), (1, 0), (0, 1), (0, 0, 1), (1, 0, 2, 0), (0, 0, 0), (0, 1, 0, 2),
-])
+    word for length in range(5) for word in itertools.product(range(3), repeat=length)])
 def test_enumerations_match_bruteforce(word):
     c = Rct(1, word)
     assert admissible_subsets(c) == brute_admissible_subsets(c)
     got = {frozenset(e.subsets) for e in enumerate_admissible_extractions(c)}
     assert got == brute_families(c, general=False)
-    got_all = {frozenset(e.subsets) for e in enumerate_all_extractions(c) if e.subsets}
-    assert got_all == brute_families(c, general=True)
+    general = list(iter_general_families(c))
+    assert {frozenset(fam) for fam in general} == brute_families(c, general=True)
+    assert len(set(general)) == len(general)
+    # `extractions --all` prints this order
+    assert general == sorted(general)
+    assert [e.subsets for e in enumerate_all_extractions(c)] == [()] + general
 
 
 def test_admissible_families_within_general():
