@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """The coordinate-map Hopf algebra and its bijection with circle trees.
 
-The coproduct on coordinate maps is built from prepend-operator
-recursions, never from extraction combinatorics, yet transporting the
-tree coproduct by its definition, one term per labelled admissible
-extraction, through channel/word identification gives exactly the same
-answer.  The library's tree coproduct reads the recursion through that
-bijection, so this cross-check is what certifies both.
+The coordinate map a[i;w] and the circle tree i:w are one generator
+(`CoordMap` is `Rct`); only the printed spelling differs.  The coproduct
+on coordinate maps is built from prepend-operator recursions, never from
+extraction combinatorics, yet the tree coproduct by its definition, one
+term per labelled admissible extraction, gives exactly the same answer.
+The library's tree coproduct reads the recursion as it is, so this
+cross-check is what certifies both.
 """
 
 from circletree.coordmaps import (
@@ -16,8 +17,6 @@ from circletree.coordmaps import (
     format_cmono,
     format_poly,
     full_delta,
-    to_coord_map,
-    tree_tensor_to_coord,
 )
 from circletree.hopf import extraction_coproduct
 from circletree.lincomb import format_rational
@@ -32,9 +31,9 @@ print("\nantipode of a[1;0] at m=2:")
 print(format_poly(antipode(CoordMap(1, (0,)), 2)))
 
 c = Rct(1, (0, 0))
-lhs = tree_tensor_to_coord(extraction_coproduct(c, 1))
-rhs = full_delta(to_coord_map(c), 1)
+lhs = extraction_coproduct(c, 1)
+rhs = full_delta(c, 1)
 assert lhs == rhs
-print("\nextraction sum of 1:0.0, transported, equals the recursion-built coproduct:")
+print("\nextraction sum of 1:0.0 equals the recursion-built coproduct of a[1;0.0]:")
 for (left, right), coeff in sorted(rhs.items()):
     print(f"  {format_cmono(left)} (x) {format_cmono(right)}  {format_rational(coeff)}")

@@ -205,36 +205,33 @@ def check_duality(max_degree: int, m: int) -> int:
 @_sweep
 def check_iso_coproduct(c: Rct, m: int) -> None:
     """The extraction sum, the coproduct by its definition, equals the tree
-    coproduct and, through the bijection, the coordinate-map one."""
+    coproduct and the coordinate-map one; trees and coordinate maps are one
+    generator type, so the terms compare as they are."""
     reference = hopf.extraction_coproduct(c, m)
     assert hopf.coproduct(c, m) == reference, f"coproduct differs from the extraction sum on {c}"
-    rhs = coordmaps.full_delta(coordmaps.to_coord_map(c), m)
-    assert coordmaps.tree_tensor_to_coord(reference) == rhs, \
-        f"coproducts disagree through the bijection on {c}"
+    assert coordmaps.full_delta(c, m) == reference, \
+        f"the coordinate-map coproduct differs from the extraction sum on {c}"
 
 
 @_sweep
 def check_iso_antipode(c: Rct, m: int) -> None:
-    """Tree and coordinate-map antipodes agree through the bijection.  Both
-    recursions read the same coproduct terms, so this checks the two memo
-    tables; the independent antipode check is the forest formula of
-    `check_antipode_agreement`."""
-    lhs = coordmaps.tree_poly_to_coord(hopf.antipode_recursive(c, m))
-    a = coordmaps.to_coord_map(c)
-    s_left = coordmaps.antipode(a, m, "left")
-    s_right = coordmaps.antipode(a, m, "right")
-    assert lhs == s_left == s_right, f"antipodes disagree through the bijection on {c}"
+    """The tree-side forest formula, which reads no memo table, equals the
+    coordinate-map left and right recursions, the one antipode table that
+    `hopf` shares."""
+    forest = hopf.antipode_forest(c, m)
+    s_left = coordmaps.antipode(c, m, "left")
+    s_right = coordmaps.antipode(c, m, "right")
+    assert forest == s_left == s_right, f"coordinate-map antipodes differ from the forest on {c}"
 
 
 @_sweep
 def check_figure_relations(c: Rct, m: int) -> None:
     """The three coordinate-map coproducts differ by primitive-part additions;
     `check_iso_coproduct` ties the tree coproduct to them."""
-    a = coordmaps.to_coord_map(c)
-    mono = (a,)
-    tilde = coordmaps.tilde_delta(a, m)
-    full = coordmaps.full_delta(a, m)
-    reduced = coordmaps.reduced_delta(a, m)
+    mono = (c,)
+    tilde = coordmaps.tilde_delta(c, m)
+    full = coordmaps.full_delta(c, m)
+    reduced = coordmaps.reduced_delta(c, m)
     with_left = LinComb(reduced)
     with_left.add_term((mono, coordmaps.UNIT), 1)
     assert tilde == with_left, f"tilde vs reduced fails on {c}"
@@ -254,9 +251,8 @@ def check_deshuffle_correspondence(c: Rct, m: int) -> None:
                 continue
             left = delete_positions(c, subset)
             right = restrict(c, subset, n, m)
-            pairs.add_term(
-                ((coordmaps.to_coord_map(left),), (coordmaps.to_coord_map(right),)), 1)
-        expected = coordmaps.deshuffle_coproduct(coordmaps.to_coord_map(tail), n)
+            pairs.add_term(((left,), (right,)), 1)
+        expected = coordmaps.deshuffle_coproduct(tail, n)
         assert pairs == expected, f"deshuffle correspondence fails on {c}, n={n}"
 
 

@@ -1,14 +1,18 @@
 """Hopf algebra of coordinate maps for the output-feedback group.
 
 A coordinate map picks out one coefficient of a vector-valued series:
-channel i, word eta.  The coproduct here is *not* computed through
-extraction combinatorics; it is built from the three recursions on the
-prepend operators (deshuffle coproduct, then the feedback coproduct,
-then the full one), which give its terms already combined.  It is the
-same Hopf algebra that `hopf` realises on circle trees, and `hopf` reads
-its coproduct from `tilde_terms` through the channel/word bijection at
-the bottom of this file; the extraction sum `hopf.extraction_coproduct`
-is the independent reference both are checked against.
+channel i, word eta.  It is the same generator as the circle tree i:eta:
+`CoordMap` is `trees.Rct`, whose `channel` reads the root, so the two
+algebras share one generator type, one `degree`/`mono_degree` and one
+antipode memo table, and differ only in the formatter each side prints
+with (`a[1;0.0]` here, `1:0.0` in `hopf`).  The coproduct here is *not*
+computed through extraction combinatorics; it is built from the three
+recursions on the prepend operators (deshuffle coproduct, then the
+feedback coproduct, then the full one), which give its terms already
+combined.  `hopf` reads its coproduct and both recursive antipodes from
+`reduced_terms` and `_antipode` as they are; the extraction sum
+`hopf.extraction_coproduct` and the forest formula are the independent
+references they are checked against.
 
 Tensor values share the monomial-pair convention of `hopf`: keys are
 (left monomial, right monomial) with single-map monomials of length 1.
@@ -17,30 +21,17 @@ Tensor values share the monomial-pair convention of `hopf`: keys are
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
 
 from . import lincomb
 from .lincomb import LinComb, format_monomial, memo
-from .trees import Rct
-from .words import Word, format_word, parse_word, word_degree
+from .trees import Rct, degree, mono_degree  # one grading for both spellings
+from .words import Word, format_word, parse_word
 
-
-class CoordMap(NamedTuple):
-    channel: int
-    word: Word
-
+CoordMap = Rct
 
 CMono = tuple[CoordMap, ...]
 
 UNIT: CMono = ()
-
-
-def degree(a: CoordMap) -> int:
-    return word_degree(a.word) + 1
-
-
-def mono_degree(mono: CMono) -> int:
-    return sum(degree(a) for a in mono)
 
 
 def _deshuffle_splits(word: Word) -> dict[tuple[Word, Word], int]:
@@ -61,7 +52,8 @@ def deshuffle_coproduct(a: CoordMap, j: int) -> LinComb:
 def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
     """Feedback coproduct terms (left single map, right monomial, coefficient)
     by the prepend recursion, one plain-dict update per term; no positive
-    coefficient cancels, so the terms keep the order they are first met in."""
+    coefficient cancels, so the terms keep the order they are first met in,
+    and the left-primitive term (a, (), 1), met first, stays first."""
     if not word:
         return ((CoordMap(channel, ()), UNIT, 1),)
     head, tail = word[0], word[1:]
@@ -108,40 +100,36 @@ def reduced_delta(a: CoordMap, m: int) -> LinComb:
     return out
 
 
+def reduced_terms(a: CoordMap, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
+    """The tilde terms of `a` less the left-primitive one, which comes first
+    (it is the only term with an empty right leg): the reduced coproduct
+    both recursions read."""
+    return tilde_terms(a, m)[1:]
+
+
 @memo
 def _antipode(a: CoordMap, m: int, side: str) -> LinComb:
-    reduced = (term for term in tilde_terms(a, m) if term[1])  # less the left-primitive term
-    return lincomb.antipode_step(a, reduced, side, lambda x: _antipode(x, m, side))
+    """The one antipode table of the package: trees and coordinate maps
+    are one generator type, so `hopf` reads the same entries."""
+    return lincomb.antipode_step(a, reduced_terms(a, m), side,
+                                 lambda x: _antipode(x, m, side))
 
 
 def antipode(a: CoordMap, m: int, side: str = "right") -> LinComb:
     return LinComb(_antipode(a, m, side))
 
 
-def antipode_poly(p: LinComb, m: int, side: str = "right") -> LinComb:
-    return lincomb.antipode_poly(p, lambda a: antipode(a, m, side))
-
-
 # ---------------------------------------------------------------------------
-# bijection with circle trees
+# bijection with circle trees: the identity, since both spellings are one
+# type; kept because bench/worker.py calls these two
 
 
 def to_coord_map(c: Rct) -> CoordMap:
-    return CoordMap(c.root, c.word)
-
-
-def to_rct(a: CoordMap) -> Rct:
-    return Rct(a.channel, a.word)
+    return c
 
 
 def tree_poly_to_coord(p: LinComb) -> LinComb:
-    return p.map_basis(lambda mono: tuple(sorted(to_coord_map(c) for c in mono)))
-
-
-def tree_tensor_to_coord(t: LinComb) -> LinComb:
-    return t.map_basis(lambda lr: (
-        tuple(sorted(to_coord_map(c) for c in lr[0])),
-        tuple(sorted(to_coord_map(c) for c in lr[1]))))
+    return p
 
 
 # ---------------------------------------------------------------------------

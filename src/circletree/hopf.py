@@ -5,8 +5,8 @@ tuple is the algebra unit.  The coproduct sums quotient (x) extracted
 sub-trees over admissible extractions, with every extraction label
 expanded concretely over 1..m.  It is the coordinate-map coproduct, so
 its combined terms are read from the prepend recursion of `coordmaps`
-through the bijection; `extraction_coproduct`, the definition term by
-term, is the reference both are checked against.  The antipode comes
+as they are; `extraction_coproduct`, the definition term by term, is the
+reference both are checked against.  The antipode comes
 three ways:
 
 * right recursion, S(c) = -c - sum q S(r_1)...S(r_n), the default: it is
@@ -19,12 +19,14 @@ three ways:
   of the recursions and the route of the forest statistics.  Its blocks
   are bitmasks; `forest_signed_terms` lists them as position subsets.
 
-Both recursions run on `lincomb.antipode_step`, shared with the
-coordinate-map algebra, over the combined coproduct terms.  One `memo`
-table keyed by (tree, m, side) holds the antipodes; pass memoize=False
-to force the raw expansion, e.g. to time it.  `antipode_stats` counts
-the terms of the raw left expansion as g(a) = 1 + sum k g(l) over the
-combined terms k l (x) r with r != 1.
+Trees and coordinate maps are one generator type (`CoordMap` is `Rct`),
+so both recursions read the combined terms `coordmaps.reduced_terms`
+with no relabelling, and the memoized ones fill and read the one
+`coordmaps._antipode` table, keyed by (generator, m, side); only the
+formatter (`1:0.0` here, `a[1;0.0]` there) tells the sides apart.  Pass
+memoize=False to force the raw expansion, e.g. to time it.  `antipode_stats` counts the terms of the
+raw left expansion as g(a) = 1 + sum k g(l) over the combined terms
+k l (x) r with r != 1.
 """
 
 from __future__ import annotations
@@ -32,20 +34,16 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from . import lincomb
-from .coordmaps import CoordMap, tilde_terms, to_coord_map, to_rct
+from . import coordmaps, lincomb
+from .coordmaps import reduced_terms
 from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, memo,
                       mono_mul, mono_sort_key)
 from .trees import (Rct, Word, bit_indices, degree, enumerate_admissible_extractions, format_rct,
-                    labelled_extractions, quotient, restrict)
+                    labelled_extractions, mono_degree, quotient, restrict)
 
 Monomial = tuple[Rct, ...]
 
 UNIT: Monomial = ()
-
-
-def mono_degree(mono: Monomial) -> int:
-    return sum(degree(c) for c in mono)
 
 
 def tensor_mul(s: LinComb, t: LinComb) -> LinComb:
@@ -54,16 +52,6 @@ def tensor_mul(s: LinComb, t: LinComb) -> LinComb:
         for (lb, rb), kb in t.items():
             out.add_term((mono_mul(la, lb), mono_mul(ra, rb)), ka * kb)
     return out
-
-
-@memo
-def _proper_items(c: Rct, m: int) -> tuple[tuple[Rct, Monomial, int], ...]:
-    """(quotient, sub-trees, multiplicity) of the proper admissible extractions,
-    labels expanded, equal pairs combined: the coordinate-map feedback
-    coproduct of c through the bijection, less its left-primitive term (the
-    one with an empty right leg)."""
-    return tuple((to_rct(left), tuple(map(to_rct, right)), k)
-                 for left, right, k in tilde_terms(to_coord_map(c), m) if right)
 
 
 def extraction_coproduct(c: Rct, m: int) -> LinComb:
@@ -81,7 +69,7 @@ def extraction_coproduct(c: Rct, m: int) -> LinComb:
 
 
 def reduced_coproduct(c: Rct, m: int) -> LinComb:
-    return LinComb({((q,), rest): k for q, rest, k in _proper_items(c, m)})
+    return LinComb({((q,), rest): k for q, rest, k in reduced_terms(c, m)})
 
 
 def coproduct(c: Rct, m: int) -> LinComb:
@@ -94,7 +82,7 @@ def coproduct(c: Rct, m: int) -> LinComb:
 
 def linearized_coproduct(c: Rct, m: int) -> LinComb:
     """Single-subset part of the coproduct; both legs are single trees."""
-    return LinComb({((q,), rest): k for q, rest, k in _proper_items(c, m) if len(rest) == 1})
+    return LinComb({((q,), rest): k for q, rest, k in reduced_terms(c, m) if len(rest) == 1})
 
 
 def coproduct_monomial(mono: Monomial, m: int) -> LinComb:
@@ -108,17 +96,12 @@ def coproduct_monomial(mono: Monomial, m: int) -> LinComb:
 # recursive antipodes
 
 
-@memo
-def _antipode(c: Rct, m: int, side: str) -> LinComb:
-    return lincomb.antipode_step(c, _proper_items(c, m), side, lambda x: _antipode(x, m, side))
-
-
 def antipode_recursive(c: Rct, m: int, side: str = "right", memoize: bool = True) -> LinComb:
     if memoize:
-        return LinComb(_antipode(c, m, side))
+        return coordmaps.antipode(c, m, side)
 
     def raw(x: Rct) -> LinComb:
-        return lincomb.antipode_step(x, _proper_items(x, m), side, raw)
+        return lincomb.antipode_step(x, reduced_terms(x, m), side, raw)
 
     return raw(c)
 
@@ -135,8 +118,13 @@ def _forest_terms(word: Word, mask: int, root: int, m: int, seen: dict) -> Itera
     """(blocks, factors) of every labelled general family of the tree with
     this root on the positions of `mask`: a top-level disjoint family, then a
     general family inside each block below its minimum; one factor per block
-    and the quotient.  `seen` holds each (block, label) expansion met so far."""
-    for family, labels, qword in labelled_extractions(word, mask, m):
+    and the quotient.  `seen` holds each (block, label) expansion met so far
+    and, keyed by the mask alone, each mask's labelled extractions, which do
+    not depend on the root label."""
+    extractions = seen.get(mask)
+    if extractions is None:
+        extractions = seen[mask] = labelled_extractions(word, mask, m)
+    for family, labels, qword in extractions:
         terms = [(family, (Rct(root, qword),))]
         for block, label in zip(family, labels):
             inner = seen.get((block, label))
@@ -185,9 +173,9 @@ class StatsRecord(NamedTuple):
 
 
 @memo
-def _generated_count(a: CoordMap, m: int) -> int:
+def _generated_count(a: Rct, m: int) -> int:
     """Signed monomials the raw left recursion emits for `a` before combining."""
-    return 1 + sum(k * _generated_count(left, m) for left, right, k in tilde_terms(a, m) if right)
+    return 1 + sum(k * _generated_count(left, m) for left, _right, k in reduced_terms(a, m))
 
 
 def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecord:
@@ -199,7 +187,7 @@ def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecor
             poly.add_term(mono, sign)
     elif method == "recursive_left":
         # the antipode is one element whichever route computes it
-        generated = _generated_count(to_coord_map(c), m)
+        generated = _generated_count(c, m)
         poly = antipode(c, m)
     else:
         raise ValueError(f"unknown stats method {method!r}")

@@ -24,8 +24,15 @@ Subset = tuple[int, ...]
 
 
 class Rct(NamedTuple):
+    """One generator of the algebra: the tree root:word, and equally the
+    coordinate map a[channel;word] of `coordmaps` (`CoordMap` is this class;
+    `channel` reads the root)."""
+
     root: int
     word: Word
+
+
+Rct.channel = Rct.root  # the same read-only field getter under its coordinate-map name
 
 
 class Extraction(NamedTuple):
@@ -51,6 +58,10 @@ def weight(c: Rct) -> int:
 
 def degree(c: Rct) -> int:
     return word_degree(c.word) + 1
+
+
+def mono_degree(mono: tuple[Rct, ...]) -> int:
+    return sum(degree(c) for c in mono)
 
 
 def is_white(letter: int) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from circletree import checks
+from circletree import checks, coordmaps, hopf, trees
 from circletree.coordmaps import (
     CoordMap,
     antipode,
@@ -11,10 +11,10 @@ from circletree.coordmaps import (
     mono_degree,
     parse_coord_map,
     reduced_delta,
+    reduced_terms,
     tilde_delta,
+    tilde_terms,
     to_coord_map,
-    to_rct,
-    tree_tensor_to_coord,
 )
 from circletree.lincomb import LinComb
 from circletree.trees import Rct, iter_rcts
@@ -70,13 +70,11 @@ def test_tilde_delta_integrator_m1():
 
 
 def test_full_delta_examples():
-    from circletree.hopf import coproduct
-
     a = A(1, ())
     assert full_delta(a, 2) == LinComb({((a,), ()): 1, ((), (a,)): 1})
-    # matches the tree coproduct through the bijection
+    # matches the tree coproduct: the tree 1:0 is the coordinate map a[1;0]
     c = Rct(1, (0,))
-    assert full_delta(to_coord_map(c), 2) == tree_tensor_to_coord(coproduct(c, 2))
+    assert full_delta(c, 2) == hopf.coproduct(c, 2)
     # words without the integrator letter are primitive
     a = A(1, (1, 2))
     assert full_delta(a, 2) == LinComb({((a,), ()): 1, ((), (a,)): 1})
@@ -97,6 +95,16 @@ def test_antipode_x0x0_has_six_terms_at_m1():
     assert len(antipode(A(1, (0, 0)), 1)) == 6
 
 
+def test_reduced_terms_are_the_tilde_terms_after_the_left_primitive_one():
+    # the recursions read the reduced coproduct as a slice, so the
+    # left-primitive term must come first and be the only empty right leg
+    for m in (1, 2):
+        for a in iter_rcts(8, m):
+            terms = tilde_terms(a, m)
+            assert terms[0] == (a, (), 1), a
+            assert reduced_terms(a, m) == terms[1:] and all(right for _l, right, _k in terms[1:]), a
+
+
 def test_reduced_delta_drops_both_primitive_parts():
     a = A(1, (0,))
     red = reduced_delta(a, 1)
@@ -109,18 +117,21 @@ def test_degree_and_grading():
     assert degree(A(1, ())) == 1
     assert degree(A(2, (0, 1))) == 4
     for m in (1, 2):
-        for c in iter_rcts(6, m):
-            a = to_coord_map(c)
+        for a in iter_rcts(6, m):
             for (left, right), _k in full_delta(a, m).items():
                 assert mono_degree(left) + mono_degree(right) == degree(a)
 
 
 def test_bijection_roundtrip_and_degree():
+    # one generator type: the bijection is the identity and `channel` reads the root
+    assert CoordMap is Rct
+    assert degree is trees.degree and mono_degree is trees.mono_degree is hopf.mono_degree
     for c in iter_rcts(5, 2):
         a = to_coord_map(c)
-        assert to_rct(a) == c
-        from circletree.trees import degree as tree_degree
-        assert degree(a) == tree_degree(c)
+        assert a is c and a == CoordMap(c.root, c.word)
+        assert a.channel == c.root and degree(a) == c.word.count(0) + len(c.word) + 1
+    with pytest.raises(AttributeError):
+        CoordMap(1, ()).channel = 2
 
 
 def test_isomorphism_small_ranges():
@@ -128,6 +139,23 @@ def test_isomorphism_small_ranges():
     assert checks.check_iso_antipode(6, 2) == 238
     assert checks.check_deshuffle_correspondence(6, 2) == 40
     assert checks.check_figure_relations(6, 2) == 238
+
+
+@pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right")])
+def test_iso_antipode_catches_a_tampered_coordinate_map_antipode(monkeypatch, sides):
+    # one wrong coefficient for one generator; tampering both sides alike is
+    # a wrong shared table entry, which only the forest formula can catch
+    target, honest = A(2, (0, 1)), coordmaps.antipode
+
+    def tampered(a, m, side="right"):
+        out = honest(a, m, side)
+        if a == target and side in sides:
+            out.add_term((a,), -1)
+        return out
+
+    monkeypatch.setattr(coordmaps, "antipode", tampered)
+    with pytest.raises(AssertionError, match="differ from the forest"):
+        checks.check_iso_antipode(4, 2)
 
 
 def test_text_format():

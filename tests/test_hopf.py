@@ -192,12 +192,11 @@ def test_no_zero_coefficient_is_stored():
         step = lincomb.antipode_step(x, cancelling, side, lambda g: LinComb({(g,): -1}))
         assert step == {(x,): -1}, side
     for c in iter_rcts(8, 2):
-        a = coordmaps.to_coord_map(c)
         polys = [hopf.antipode(c, 2, method) for method in ("left", "right", "forest")]
-        polys += [coordmaps.antipode(a, 2, side) for side in ("left", "right")]
+        polys += [coordmaps.antipode(c, 2, side) for side in ("left", "right")]
         for p in polys:
             assert all(p.values()), c
-        assert all(k for _left, _right, k in coordmaps.tilde_terms(a, 2)), c
+        assert all(k for _left, _right, k in coordmaps.tilde_terms(c, 2)), c
 
 
 def test_forest_families_are_the_general_families():
@@ -279,7 +278,6 @@ def test_clear_caches_empties_every_memo_table():
     for method in ("left", "right", "forest"):
         antipode_poly(LinComb({(c,): 1}), 2, method)
     antipode_stats(c, 2)
-    coordmaps.antipode_poly(coordmaps.tree_poly_to_coord(LinComb({(c,): 1})), 2, "left")
     shuffle((0, 1), (2,))
     prelie_product(c, Rct(1, (2,)))
     caches = []
@@ -287,13 +285,36 @@ def test_clear_caches_empties_every_memo_table():
         module = importlib.import_module(f"circletree.{info.name}")
         caches += [obj for obj in vars(module).values()
                    if callable(getattr(obj, "cache_info", None))]
-    # the module scan and the registry find the same tables, antipodes included
+    # the module scan and the registry find the same tables; trees and
+    # coordinate maps share one antipode table
     assert sorted(map(id, caches)) == sorted(map(id, lincomb._MEMO_TABLES))
-    assert hopf._antipode in caches and coordmaps._antipode in caches
-    assert len(caches) == 7
+    assert [cache for cache in caches if "antipode" in cache.__name__] == [coordmaps._antipode]
+    assert len(caches) == 5
     assert all(cache.cache_info().currsize for cache in caches)
     hopf.clear_caches()
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+
+
+def test_one_memo_entry_serves_trees_and_coordinate_maps():
+    c = Rct(2, (0, 1, 0, 0))
+    assert hopf.degree(c) == 8
+    hopf.clear_caches()
+    tree_side = hopf.antipode(c, 2)
+    before = coordmaps._antipode.cache_info()
+    coord_side = coordmaps.antipode(c, 2, "right")
+    after = coordmaps._antipode.cache_info()
+    assert after.currsize == before.currsize and after.hits == before.hits + 1
+    assert coord_side == tree_side
+    # one LinComb, printed in each side's syntax
+    assert hopf.format_poly(tree_side).splitlines()[0] == "2:0.1.0.0 -1"
+    assert coordmaps.format_poly(tree_side).splitlines()[0] == "a[2;0.1.0.0] -1"
+    for tree_line, coord_line in zip(hopf.format_poly(tree_side).splitlines(),
+                                     coordmaps.format_poly(tree_side).splitlines(), strict=True):
+        tree_mono, tree_coeff = tree_line.split()
+        coord_mono, coord_coeff = coord_line.split()
+        assert tree_coeff == coord_coeff
+        assert coord_mono == "*".join(f"a[{root};{word}]" for root, word in
+                                      (factor.split(":") for factor in tree_mono.split("*")))
 
 
 def test_every_exported_name_resolves():
@@ -309,16 +330,15 @@ def test_memoization_toggle():
     c = Rct(1, (0, 0, 1))
     hopf.clear_caches()
     without = antipode_recursive(c, 2, "left", memoize=False)
-    assert hopf._antipode.cache_info().currsize == 0  # the raw run fills no antipode table
+    assert coordmaps._antipode.cache_info().currsize == 0  # the raw run fills no antipode table
     with_memo = antipode_recursive(c, 2, "left", memoize=True)
     assert with_memo == without
 
 
 def test_returned_antipodes_do_not_alias_the_memo():
     c = Rct(1, (0, 0, 1))
-    a = coordmaps.to_coord_map(c)
     routes = [lambda side: antipode_recursive(c, 2, side),
-              lambda side: coordmaps.antipode(a, 2, side)]
+              lambda side: coordmaps.antipode(c, 2, side)]
     for route in routes:
         for side in ("left", "right"):
             original = LinComb(route(side))
@@ -333,7 +353,7 @@ def test_unknown_antipode_side_is_rejected():
     with pytest.raises(ValueError, match="left or right"):
         antipode_recursive(c, 2, "middle")
     with pytest.raises(ValueError, match="left or right"):
-        coordmaps.antipode(coordmaps.to_coord_map(c), 2, "middle")
+        coordmaps.antipode(c, 2, "middle")
 
 
 def test_counit_values():
