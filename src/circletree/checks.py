@@ -204,13 +204,13 @@ def check_duality(max_degree: int, m: int) -> int:
 
 @_sweep
 def check_iso_coproduct(c: Rct, m: int) -> None:
-    """The extraction sum, the coproduct by its definition, equals the tree
-    coproduct and the coordinate-map one; trees and coordinate maps are one
-    generator type, so the terms compare as they are."""
-    reference = hopf.extraction_coproduct(c, m)
-    assert hopf.coproduct(c, m) == reference, f"coproduct differs from the extraction sum on {c}"
-    assert coordmaps.full_delta(c, m) == reference, \
-        f"the coordinate-map coproduct differs from the extraction sum on {c}"
+    """The extraction sum, the coproduct by its definition, equals the
+    coordinate-map coproduct built by the prepend recursions, which is also
+    the tree coproduct (`hopf.coproduct` is `coordmaps.full_delta`); trees
+    and coordinate maps are one generator type, so the terms compare as
+    they are."""
+    assert coordmaps.full_delta(c, m) == hopf.extraction_coproduct(c, m), \
+        f"the coproduct differs from the extraction sum on {c}"
 
 
 @_sweep

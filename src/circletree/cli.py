@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Parse errors exit with code 2, semantic errors (shape or alphabet
-mismatches, insufficient truncation) with code 3.  All output is
+mismatches, insufficient truncation) with code 3.  A reader that closes
+stdout early (`| head`) ends the run quietly with code 1.  All output is
 canonically sorted, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import coordmaps, groupops, hopf, prelie, series as series_mod
@@ -26,6 +28,7 @@ from .trees import (
 )
 from .words import format_word, parse_word, shuffle, word_degree
 
+BROKEN_PIPE = 1
 PARSE_ERROR = 2
 SEMANTIC_ERROR = 3
 
@@ -332,13 +335,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit writes what is left nowhere instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -81,22 +81,22 @@ def tilde_terms(a: CoordMap, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
 
 def tilde_delta(a: CoordMap, m: int) -> LinComb:
     """Coproduct dual to the modified composition product."""
-    out = LinComb()
-    for left, right, coeff in tilde_terms(a, m):
-        out.add_term(((left,), right), coeff)
-    return out
-
-
-def full_delta(a: CoordMap, m: int) -> LinComb:
-    """Coproduct dual to the group product: tilde_delta plus the right-primitive part."""
-    out = tilde_delta(a, m)
-    out.add_term((UNIT, (a,)), 1)
-    return out
+    return LinComb({((left,), right): coeff for left, right, coeff in tilde_terms(a, m)})
 
 
 def reduced_delta(a: CoordMap, m: int) -> LinComb:
-    out = tilde_delta(a, m)
-    out.add_term(((a,), UNIT), -1)
+    """The reduced coproduct: the tilde terms less the left-primitive one.
+    The terms are combined and nonzero, so one dict build takes them as they
+    are; `hopf.reduced_coproduct` is this function."""
+    return LinComb({((left,), right): coeff for left, right, coeff in reduced_terms(a, m)})
+
+
+def full_delta(a: CoordMap, m: int) -> LinComb:
+    """Coproduct dual to the group product: the reduced terms, then both
+    primitive ones; `hopf.coproduct` is this function."""
+    out = reduced_delta(a, m)
+    out[(a,), UNIT] = 1
+    out[UNIT, (a,)] = 1
     return out
 
 

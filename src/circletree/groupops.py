@@ -8,13 +8,17 @@ Four products, all exact and all closed under length truncation:
 * group_product: both factors shifted -- the feedback group product.
 
 The cascade homomorphism treats the integrator channel of the right
-factor as the constant 1; the modified one treats it as 0.  The words of
-the left factor are folded on ints scaled by common denominators, and a
-suffix that several words share is folded once per product.  Group
-inversion iterates the fixed point d = mod_compose(-c, d), negating c
-once; antipode evaluation, the paper's route, is kept as the reference
+factor as the constant 1; the modified one treats it as 0.  Every product
+reads and writes the int numerators over one denominator that `Series`
+stores: the words of the left factor are folded on them, a suffix that
+several words share is folded once per product, and the result is put in
+canonical form once, with no Fraction built.  Group inversion iterates
+the fixed point d = mod_compose(-c, d), negating c once; antipode
+evaluation, the paper's route, is kept as the reference
 `antipode_inverse`.  Convolution reads the memoized feedback-coproduct
-terms of `coordmaps` directly.
+terms of `coordmaps` directly and sums numerators, one per right-leg
+length, so a Fraction is built only for its value.  Characters return
+Fractions: they are the edge where a caller reads one coefficient.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from itertools import product as iter_product
 from typing import NamedTuple
 
 from .coordmaps import CoordMap, antipode, format_coord_map, tilde_terms
-from .lincomb import as_fraction, scale_to_ints
-from .series import Series, add, zero_series
+from .lincomb import as_fraction
+from .series import Series, add, channel_nums, from_nums, zero_series
 from .words import shuffle_ints
 
 
@@ -80,25 +84,21 @@ def _target_length(max_len: int | None, known: int, verb: str) -> int:
 def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None) -> Series:
     _require_composable(c, d)
     length = _target_length(max_len, min(c.max_len, d.max_len), "compose")
-    scaled_d, den = scale_to_ints(
-        {key: v for key, v in d.coeffs.items() if len(key[1]) <= length})
-    d_ints = {ch: {w: v for (i, w), v in scaled_d.items() if i == ch}
-              for ch in range(1, d.m + 1)}
+    d = d.truncated(length)  # its least denominator keeps the folded ints small
+    den = d.den
+    d_ints = channel_nums(d)
     # every word of length n <= length is scaled by den**(length - n) on top of
-    # its den**n, so each channel sums over the one denominator c_den * den**length
-    scaled_c, c_den = scale_to_ints(c.coeffs)
+    # its den**n, so each channel sums over the one denominator c.den * den**length
     images: dict = {(): {(): 1}}
     totals: dict = {}
-    for (ch, word), coeff in scaled_c.items():
+    for (ch, word), coeff in c.nums.items():
         if len(word) > length:
             continue  # its image has only longer words
         image = _fold_word(word, images, d_ints, den, length, modified)
         scale = coeff * den ** (length - len(word))
         for w, k in image.items():
             totals[ch, w] = totals.get((ch, w), 0) + scale * k
-    out_den = c_den * den ** length
-    return Series._from_valid(c.ell, c.m, length,
-                              {key: Fraction(k, out_den) for key, k in totals.items()})
+    return from_nums(c.ell, c.m, length, totals, c.den * den ** length)
 
 
 def compose(c: Series, d: Series, max_len: int | None = None) -> Series:
@@ -133,18 +133,24 @@ def group_product(c: Series, d: Series, max_len: int | None = None) -> Series:
 # characters and inversion
 
 
+def _numerator(s: Series, a: CoordMap) -> int:
+    """The numerator over s.den of the coefficient a picks out of s; ValueError
+    if a lies outside the series.  A CoordMap is a (channel, word) tuple, so
+    it is its own key."""
+    if len(a.word) > s.max_len:
+        raise ValueError(f"word {a.word} exceeds the series truncation {s.max_len}")
+    if not 1 <= a.channel <= s.ell:
+        raise ValueError(f"channel {a.channel} outside 1..{s.ell}")
+    return s.nums.get(a, 0)
+
+
 class Character(NamedTuple):
     """Multiplicative evaluation of coordinate-map polynomials at a series."""
 
     series: Series
 
     def eval_map(self, a: CoordMap) -> Fraction:
-        if len(a.word) > self.series.max_len:
-            raise ValueError(
-                f"word {a.word} exceeds the series truncation {self.series.max_len}")
-        if not 1 <= a.channel <= self.series.ell:
-            raise ValueError(f"channel {a.channel} outside 1..{self.series.ell}")
-        return self.series.coeff(a.channel, a.word)
+        return Fraction(_numerator(self.series, a), self.series.den)
 
     def eval_monomial(self, mono) -> Fraction:
         value = Fraction(1)
@@ -209,13 +215,18 @@ def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:
         raise ValueError("characters live over different alphabets")
     if any(letter > m for letter in a.word):
         raise ValueError(f"coordinate map {format_coord_map(a)} has a letter above m={m}")
-    total = Fraction(0)
+    # a term with a right leg of k maps sums over phi's den times psi's den**k
+    totals: dict = {}
     for left, right, coeff in tilde_terms(a, m):
-        value = phi.eval_map(left)
+        value = _numerator(phi.series, left)
+        for factor in right:
+            if not value:
+                break  # as eval_monomial, read no factor past a zero one
+            value *= _numerator(psi.series, factor)
         if value:
-            value *= psi.eval_monomial(right)
-        if value:
-            total += coeff * value
+            totals[len(right)] = totals.get(len(right), 0) + coeff * value
+    phi_den, psi_den = phi.series.den, psi.series.den
+    total = sum(Fraction(n, phi_den * psi_den ** k) for k, n in totals.items())
     # the right-primitive term 1 (x) a of the full coproduct comes last, so a
     # word past psi's truncation is reported where the tilde terms meet it
-    return total + psi.eval_map(a)
+    return total + Fraction(_numerator(psi.series, a), psi_den)

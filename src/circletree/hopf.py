@@ -4,9 +4,10 @@ Monomials are multisets of trees (canonically sorted tuples); the empty
 tuple is the algebra unit.  The coproduct sums quotient (x) extracted
 sub-trees over admissible extractions, with every extraction label
 expanded concretely over 1..m.  It is the coordinate-map coproduct, so
-its combined terms are read from the prepend recursion of `coordmaps`
-as they are; `extraction_coproduct`, the definition term by term, is the
-reference both are checked against.  The antipode comes
+`coproduct` and `reduced_coproduct` are `coordmaps.full_delta` and
+`coordmaps.reduced_delta`, read from the prepend recursion as they are;
+`extraction_coproduct`, the definition term by term, is the reference
+they are checked against.  The antipode comes
 three ways:
 
 * right recursion, S(c) = -c - sum q S(r_1)...S(r_n), the default: it is
@@ -68,16 +69,9 @@ def extraction_coproduct(c: Rct, m: int) -> LinComb:
     return out
 
 
-def reduced_coproduct(c: Rct, m: int) -> LinComb:
-    return LinComb({((q,), rest): k for q, rest, k in reduced_terms(c, m)})
-
-
-def coproduct(c: Rct, m: int) -> LinComb:
-    """Full coproduct of a generator as a tensor polynomial."""
-    out = reduced_coproduct(c, m)
-    out.add_term(((c,), UNIT), 1)
-    out.add_term((UNIT, (c,)), 1)
-    return out
+# the tree coproduct is the coordinate-map one: one definition of each
+reduced_coproduct = coordmaps.reduced_delta
+coproduct = coordmaps.full_delta
 
 
 def linearized_coproduct(c: Rct, m: int) -> LinComb:

@@ -83,8 +83,9 @@ def fliess_eval(c: Series, u: Signal) -> np.ndarray:
         raise ValueError(f"signal has {u.m} channels, series needs {c.m}")
     integral = _integrals(u)
     out = np.zeros((c.ell, u.grid.shape[0]))
-    for (channel, word), coeff in c.coeffs.items():
-        out[channel - 1] += float(coeff) * integral(word)
+    den = c.den
+    for (channel, word), n in c.nums.items():
+        out[channel - 1] += n / den * integral(word)  # int / int rounds as float(Fraction)
     return out
 
 

@@ -4,14 +4,23 @@ A Series holds coefficients for (channel, word) pairs, channels 1-based,
 words no longer than max_len.  Truncation is by word length: every
 product implemented here only lengthens words, so computing with
 truncation L is exact for all words of length <= L.
+
+The coefficients are stored in one form: `nums` maps each (channel,
+word) with a nonzero coefficient to an int numerator over `den`, the one
+positive denominator, and gcd(den, *nums) == 1, so a value has exactly
+one form and equality compares the fields.  Every operation here and in
+`groupops` reads and writes that form, and Fractions appear only at the
+edge: the constructor takes any rational values, `coeff` returns one
+Fraction, and `coeffs`, the dict of Fractions, is built on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .lincomb import LinComb, as_fraction, format_rational, parse_rational
-from .words import Word, format_word, parse_word, shuffle_polys
+from .lincomb import LinComb, as_fraction, parse_rational
+from .words import Word, format_word, parse_word, shuffle_ints
 
 
 _ZERO = Fraction(0)  # Fraction is immutable, so every miss can share it
@@ -21,23 +30,40 @@ def _frozen(self, *_args):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _set_fields(series, ell: int, m: int, max_len: int, coeffs: dict) -> None:
-    object.__setattr__(series, "ell", ell)
-    object.__setattr__(series, "m", m)
-    object.__setattr__(series, "max_len", max_len)
-    object.__setattr__(series, "coeffs", coeffs)
+def _set_fields(series, ell: int, m: int, max_len: int, nums: dict, den: int,
+                coeffs: dict | None) -> None:
+    for name, value in (("ell", ell), ("m", m), ("max_len", max_len), ("nums", nums),
+                        ("den", den), ("_coeffs", coeffs)):
+        object.__setattr__(series, name, value)
+
+
+def from_nums(ell: int, m: int, max_len: int, nums: dict, den: int) -> "Series":
+    """The series nums / den, for int numerators keyed validly for the shape
+    and den > 0, put in canonical form: zero numerators dropped, the common
+    factor of den and nums divided out, the key order kept.  The checks of
+    the constructor are skipped."""
+    if 0 in nums.values():
+        nums = {key: n for key, n in nums.items() if n}
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        nums = {key: n // g for key, n in nums.items()}
+    out = object.__new__(Series)
+    _set_fields(out, ell, m, max_len, nums, den, None)
+    return out
 
 
 class Series:
-    """Coefficients (channel, word) -> Fraction of an ell-output, (m+1)-letter
-    series truncated at word length max_len.
+    """Coefficients (channel, word) -> rational of an ell-output, (m+1)-letter
+    series truncated at word length max_len, stored as int numerators `nums`
+    over the positive denominator `den` in canonical form.
 
-    The constructor checks the shape and every key against it, converts
-    values to Fraction and drops zeros.  Instances are immutable and
-    unhashable, and compare equal when shape and coefficients agree.
+    The constructor checks the shape and every key against it, reads values
+    as Fractions and drops zeros.  Instances are immutable and unhashable,
+    and compare equal when shape and coefficients agree.
     """
 
-    __slots__ = ("ell", "m", "max_len", "coeffs")
+    __slots__ = ("ell", "m", "max_len", "nums", "den", "_coeffs")
     __setattr__ = __delattr__ = _frozen
     __hash__ = None
 
@@ -50,20 +76,35 @@ class Series:
             word = tuple(word)
             if not 1 <= channel <= ell:
                 raise ValueError(f"channel {channel} outside 1..{ell}")
-            if any(not 0 <= letter <= m for letter in word):
+            if word and not 0 <= min(word) <= max(word) <= m:
                 raise ValueError(f"letter outside alphabet in word {word}")
             if len(word) > max_len:
                 raise ValueError(f"word {word} longer than max_len={max_len}")
             value = as_fraction(value)
             if value:
                 clean[(channel, word)] = value
-        _set_fields(self, ell, m, max_len, clean)
+        # the least common denominator of reduced fractions leaves gcd 1
+        den = lcm(*[value.denominator for value in clean.values()])
+        nums = {key: value.numerator * (den // value.denominator)
+                for key, value in clean.items()}
+        _set_fields(self, ell, m, max_len, nums, den, clean)
+
+    @property
+    def coeffs(self) -> dict:
+        """{(channel, word): Fraction} of the nonzero coefficients, in the order
+        of `nums`; built on first read and cached, so treat it as read-only."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self.den
+            coeffs = {key: Fraction(n, den) for key, n in self.nums.items()}
+            object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
 
     def __eq__(self, other):
         if other.__class__ is not Series:
             return NotImplemented
-        return (self.ell, self.m, self.max_len, self.coeffs) == (
-            other.ell, other.m, other.max_len, other.coeffs)
+        return (self.ell, self.m, self.max_len, self.den, self.nums) == (
+            other.ell, other.m, other.max_len, other.den, other.nums)
 
     def __repr__(self) -> str:
         return (f"Series(ell={self.ell!r}, m={self.m!r}, max_len={self.max_len!r}, "
@@ -72,44 +113,31 @@ class Series:
     def __reduce__(self):
         return Series, (self.ell, self.m, self.max_len, self.coeffs)
 
-    @classmethod
-    def _from_valid(cls, ell: int, m: int, max_len: int, coeffs: dict) -> "Series":
-        """Private constructor for coefficients already valid for the shape:
-        Fraction values keyed by in-range (channel, word tuple), as products
-        of valid series give.  Skips the checks; only drops zeros."""
-        out = object.__new__(cls)
-        _set_fields(out, ell, m, max_len, {key: value for key, value in coeffs.items() if value})
-        return out
-
     def coeff(self, channel: int, word: Word) -> Fraction:
-        return self.coeffs.get((channel, tuple(word)), _ZERO)
+        n = self.nums.get((channel, tuple(word)))
+        return Fraction(n, self.den) if n else _ZERO
 
     def channel_poly(self, channel: int) -> LinComb:
-        out = LinComb()
-        for (ch, word), value in self.coeffs.items():
-            if ch == channel:
-                out[word] = value
-        return out
+        return LinComb({word: value for (ch, word), value in self.coeffs.items()
+                        if ch == channel})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def truncated(self, max_len: int) -> "Series":
-        return Series._from_valid(self.ell, self.m, max_len, {
-            key: value for key, value in self.coeffs.items() if len(key[1]) <= max_len})
+        kept = {key: n for key, n in self.nums.items() if len(key[1]) <= max_len}
+        return from_nums(self.ell, self.m, max_len, kept, self.den)
 
     def scaled(self, factor) -> "Series":
         factor = as_fraction(factor)
-        return Series._from_valid(self.ell, self.m, self.max_len,
-                                  {key: factor * value for key, value in self.coeffs.items()})
+        p = factor.numerator
+        return from_nums(self.ell, self.m, self.max_len,
+                         {key: p * n for key, n in self.nums.items()} if p else {},
+                         self.den * factor.denominator)
 
     def __neg__(self) -> "Series":
-        return self.scaled(-1)
-
-    def sorted_items(self):
-        return sorted(
-            self.coeffs.items(),
-            key=lambda item: (item[0][0], len(item[0][1]), item[0][1]))
+        return from_nums(self.ell, self.m, self.max_len,
+                         {key: -n for key, n in self.nums.items()}, self.den)
 
 
 def zero_series(ell: int, m: int, max_len: int) -> Series:
@@ -125,44 +153,64 @@ def _require_same_shape(a: Series, b: Series) -> None:
 def add(a: Series, b: Series) -> Series:
     _require_same_shape(a, b)
     max_len = min(a.max_len, b.max_len)
-    coeffs = {key: value for key, value in a.coeffs.items() if len(key[1]) <= max_len}
-    for key, value in b.coeffs.items():
+    den = lcm(a.den, b.den)
+    scale_a, scale_b = den // a.den, den // b.den
+    nums = {key: scale_a * n for key, n in a.nums.items() if len(key[1]) <= max_len}
+    get = nums.get
+    for key, n in b.nums.items():
         if len(key[1]) <= max_len:
-            coeffs[key] = coeffs.get(key, 0) + value
-    return Series._from_valid(a.ell, a.m, max_len, coeffs)
+            nums[key] = get(key, 0) + scale_b * n
+    return from_nums(a.ell, a.m, max_len, nums, den)
+
+
+def channel_nums(a: Series) -> dict:
+    """{channel: {word: numerator}} over a.den, every channel present."""
+    out: dict = {channel: {} for channel in range(1, a.ell + 1)}
+    for (channel, word), n in a.nums.items():
+        out[channel][word] = n
+    return out
 
 
 def shuffle_product(a: Series, b: Series) -> Series:
     """Channel-wise shuffle; the series-level product of parallel systems."""
     _require_same_shape(a, b)
     max_len = min(a.max_len, b.max_len)
-    coeffs = {}
-    for ch in range(1, a.ell + 1):
-        for word, value in shuffle_polys(a.channel_poly(ch), b.channel_poly(ch), max_len).items():
-            coeffs[(ch, word)] = Fraction(value)  # int when no denominator
-    return Series._from_valid(a.ell, a.m, max_len, coeffs)
+    nums = {}
+    b_channels = channel_nums(b)
+    for ch, p in channel_nums(a).items():
+        for word, k in shuffle_ints(p, b_channels[ch], max_len).items():
+            nums[(ch, word)] = k
+    return from_nums(a.ell, a.m, max_len, nums, a.den * b.den)
 
 
 def left_concat(letter: int, a: Series) -> Series:
     if not 0 <= letter <= a.m:
         raise ValueError(f"letter {letter} outside alphabet 0..{a.m}")
-    coeffs = {}
-    for (channel, word), value in a.coeffs.items():
-        if len(word) + 1 <= a.max_len:
-            coeffs[(channel, (letter,) + word)] = value
-    return Series(a.ell, a.m, a.max_len, coeffs)
+    nums = {(channel, (letter,) + word): n
+            for (channel, word), n in a.nums.items() if len(word) < a.max_len}
+    return from_nums(a.ell, a.m, a.max_len, nums, a.den)
 
 
 # ---------------------------------------------------------------------------
 # text and document formats
 
 
+def _term_order(item) -> tuple:
+    (channel, word), _n = item
+    return channel, len(word), word
+
+
+def _terms(a: Series):
+    """(channel, word text, coefficient text) of each term, ordered by channel,
+    word length and word; the coefficient prints as `format_rational` would."""
+    den = a.den
+    for (channel, word), n in sorted(a.nums.items(), key=_term_order):
+        g = gcd(n, den)
+        yield channel, format_word(word), str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
 def format_series(a: Series) -> str:
-    lines = [
-        f"{channel} {format_word(word)} {format_rational(value)}"
-        for (channel, word), value in a.sorted_items()
-    ]
-    return "\n".join(lines)
+    return "\n".join(f"{channel} {word} {coeff}" for channel, word, coeff in _terms(a))
 
 
 def parse_series(text: str, ell: int | None = None, m: int | None = None,
@@ -185,7 +233,7 @@ def parse_series(text: str, ell: int | None = None, m: int | None = None,
         if channel < 1:
             raise ValueError(f"channel {channel} must be >= 1")
         key = (channel, word)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + value
+        coeffs[key] = coeffs[key] + value if key in coeffs else value
         max_channel = max(max_channel, channel)
         max_letter = max(max_letter, max(word, default=0))
         longest = max(longest, len(word))
@@ -200,10 +248,8 @@ def series_to_doc(a: Series) -> dict:
         "ell": a.ell,
         "m": a.m,
         "max_len": a.max_len,
-        "terms": [
-            {"channel": channel, "word": format_word(word), "coeff": format_rational(value)}
-            for (channel, word), value in a.sorted_items()
-        ],
+        "terms": [{"channel": channel, "word": word, "coeff": coeff}
+                  for channel, word, coeff in _terms(a)],
     }
 
 
@@ -230,15 +276,21 @@ def series_from_doc(doc: dict) -> Series:
             raise ValueError(f"series term must be a JSON object, not {term!r}")
         key = (_doc_field(term, "channel", int),
                parse_word(_doc_field(term, "word", str), _doc_field(doc, "m", int)))
-        coeffs[key] = coeffs.get(key, Fraction(0)) + parse_rational(
-            _doc_field(term, "coeff", str))
+        value = parse_rational(_doc_field(term, "coeff", str))
+        coeffs[key] = coeffs[key] + value if key in coeffs else value
     return Series(*(_doc_field(doc, name, int) for name in ("ell", "m", "max_len")), coeffs)
 
 
 def dumps_json(a: Series) -> str:
-    import json  # only the JSON format needs it
-
-    return json.dumps(series_to_doc(a), indent=2)
+    """The bytes of `json.dumps(series_to_doc(a), indent=2)`, written directly:
+    word and coefficient texts hold only digits, `.`, `e`, `-` and `/`, which
+    JSON strings take unescaped."""
+    terms = ",\n".join(
+        f'    {{\n      "channel": {channel},\n      "word": "{word}",\n'
+        f'      "coeff": "{coeff}"\n    }}' for channel, word, coeff in _terms(a))
+    terms = f"[\n{terms}\n  ]" if terms else "[]"
+    return (f'{{\n  "ell": {a.ell},\n  "m": {a.m},\n  "max_len": {a.max_len},\n'
+            f'  "terms": {terms}\n}}')
 
 
 def loads_json(text: str) -> Series:

@@ -76,7 +76,7 @@ def shuffle_polys(p: LinComb, q: LinComb, max_len: int | None = None) -> LinComb
 def format_word(word: Word) -> str:
     if not word:
         return "e"
-    return ".".join(str(letter) for letter in word)
+    return ".".join(map(str, word))
 
 
 def parse_word(text: str, m: int | None = None) -> Word:

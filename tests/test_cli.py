@@ -323,6 +323,19 @@ def test_python_m_circletree_runs_the_cli():
     assert result.stdout.splitlines() == ["0.1.2 1", "0.2.1 1", "2.0.1 1"]
 
 
+def test_a_closed_stdout_pipe_ends_the_run_quietly():
+    """The reader takes one line of 230 kB and closes the pipe, whose buffer
+    the rest overfills: the run ends with code 1 and nothing on stderr."""
+    argv = ["extractions", "--rct", "1:0.0.0.0.0.0", "--m", "1", "--all"]
+    proc = subprocess.Popen([sys.executable, "-m", "circletree", *argv], env=_env_with_src(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"empty\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 def test_semantic_error_exit_code(tmp_path, capsys):
     a = tmp_path / "a.series"
     b = tmp_path / "b.series"

@@ -6,6 +6,7 @@ examples and stays deterministic.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from circletree.groupops import (
     mod_compose,
 )
 from circletree.lincomb import LinComb
-from circletree.series import Series, add
+from circletree.series import Series, add, shuffle_product
 from circletree.words import shuffle, shuffle_polys
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -156,3 +157,38 @@ def test_fixed_point_inverse_matches_antipode_inverse(m, length, data):
     inv = group_inverse(c)
     assert inv.coeffs == antipode_inverse(c).coeffs
     assert group_product(c, inv).is_zero()
+
+
+def assert_canonical(x: Series) -> None:
+    """x is in the one int form, its Fraction view agrees with it, and the
+    constructor rebuilds it field for field."""
+    assert x.den > 0 and gcd(x.den, *x.nums.values()) == 1
+    assert all(type(n) is int and n for n in x.nums.values())
+    assert x.coeffs == {key: Fraction(n, x.den) for key, n in x.nums.items()}
+    assert list(x.coeffs) == list(x.nums)
+    assert all(type(v) is Fraction for v in x.coeffs.values())
+    rebuilt = Series(x.ell, x.m, x.max_len, x.coeffs)
+    assert rebuilt == x and repr(rebuilt) == repr(x)
+    assert (rebuilt.den, rebuilt.nums) == (x.den, x.nums)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@settings(FIXED, max_examples=40)
+@given(st.data())
+def test_every_series_operation_returns_the_canonical_form(m, data):
+    length = data.draw(st.integers(0, 3), label="length")
+    c, d = (data.draw(square_series(m, length)) for _ in range(2))
+    factor = data.draw(st.one_of(st.just(0), coefficients), label="factor")
+    cut = data.draw(st.integers(0, length + 1), label="cut")
+    results = [c, d, add(c, d), add(c, -c), c.truncated(cut), c.scaled(factor), -c,
+               shuffle_product(c, d), compose(c, d), mod_compose(c, d), hat_compose(c, d),
+               group_product(c, d), group_inverse(c)]
+    for x in results:
+        assert_canonical(x)
+    # two routes to one value give one form
+    assert c.scaled(2).scaled("1/2") == c
+    assert add(c, d) == add(d, c) and add(c, -c) == Series(m, m, length)
+    assert -(-c) == c.scaled(-1).scaled(-1) == c
+    if factor:
+        assert c.scaled(factor).scaled(1 / Fraction(factor)) == c
+    assert group_product(c, group_inverse(c)) == Series(m, m, length)

@@ -143,6 +143,30 @@ def test_json_roundtrip():
     assert back == a
 
 
+def test_dumps_json_writes_the_bytes_of_the_indented_encoder():
+    import json
+    import random
+
+    from circletree.series import series_to_doc
+
+    rng = random.Random(41)
+    cases = [zero_series(1, 1, 0), zero_series(3, 2, 4), Series(1, 1, 0, {(1, ()): -7})]
+    for _ in range(60):
+        ell, m = rng.randint(1, 3), rng.randint(1, 3)
+        max_len = rng.randint(0, 4)
+        coeffs = {}
+        for _ in range(rng.randint(0, 8)):
+            word = tuple(rng.randint(0, m) for _ in range(rng.randint(0, max_len)))
+            coeffs[(rng.randint(1, ell), word)] = Fraction(rng.randint(-40, 40),
+                                                           rng.randint(1, 12))
+        cases.append(Series(ell, m, max_len, coeffs))
+    assert any(v < 0 for c in cases for v in c.coeffs.values())
+    assert any(v.denominator > 1 for c in cases for v in c.coeffs.values())
+    for c in cases:
+        assert dumps_json(c) == json.dumps(series_to_doc(c), indent=2)
+    assert '"terms": []' in dumps_json(cases[0])
+
+
 @pytest.mark.parametrize("doc, message", [
     ([], "must be a JSON object, not list"),
     ({"ell": 1, "m": 1, "max_len": 1, "terms": {}}, "'terms' must be a JSON array"),
