@@ -10,15 +10,18 @@ Four products, all exact and all closed under length truncation:
 The cascade homomorphism treats the integrator channel of the right
 factor as the constant 1; the modified one treats it as 0.  Every product
 reads and writes the int numerators over one denominator that `Series`
-stores: the words of the left factor are folded on them, a suffix that
-several words share is folded once per product, and the result is put in
-canonical form once, with no Fraction built.  Group inversion iterates
-the fixed point d = mod_compose(-c, d), negating c once; antipode
-evaluation, the paper's route, is kept as the reference
-`antipode_inverse`.  Convolution reads the memoized feedback-coproduct
-terms of `coordmaps` directly and sums numerators, one per right-leg
-length, so a Fraction is built only for its value.  Characters return
-Fractions: they are the edge where a caller reads one coefficient.
+stores.  Each channel of the left factor is folded in one Horner pass
+over the prefixes of its words, longest first, so a prefix that several
+words share is stepped once; the partial image under a prefix is cut at
+the length the prefix leaves, and the result is put in canonical form
+once, with no Fraction built.  Group inversion solves the fixed point
+d = mod_compose(-c, d) one length per round, each round a product at
+its own length; antipode evaluation, the paper's route, is kept as the
+reference `antipode_inverse`.  Convolution reads the memoized
+feedback-coproduct terms of `coordmaps` directly and sums numerators,
+one per right-leg length, so a Fraction is built only for its value.
+Characters return Fractions: they are the edge where a caller reads one
+coefficient.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import NamedTuple
 from .coordmaps import CoordMap, antipode, format_coord_map, tilde_terms
 from .lincomb import as_fraction
 from .series import Series, add, channel_nums, from_nums, zero_series
-from .words import shuffle_ints
+from .words import by_length, shuffle_ints
 
 
 def _require_composable(c: Series, d: Series) -> None:
@@ -38,37 +41,6 @@ def _require_composable(c: Series, d: Series) -> None:
         raise ValueError("right factor must be square (ell == m)")
     if c.m != d.m:
         raise ValueError(f"alphabet mismatch: left m={c.m}, right m={d.m}")
-
-
-def _fold_word(word, images: dict, d_ints: dict, den: int, max_len: int,
-               modified: bool) -> dict:
-    """den**len(word) times the image of one word under the (modified) cascade
-    homomorphism applied to 1; d_ints[i] is den times channel i of the right factor.
-
-    The image of a.u is one step on the image of u that reads only the letter
-    a, so `images` maps every suffix folded so far to its image (seeded with
-    () -> {(): 1}) and each suffix is folded once per product, for all channels
-    and words.  A prepend multiplies by den; a shuffle with den * d_i carries
-    its own.  Shuffled words start with the integrator letter, which never
-    prepends where a shuffle happens, so the two parts never share a word.
-    """
-    start = 0
-    while word[start:] not in images:  # every suffix of a folded word is folded
-        start += 1
-    acc = images[word[start:]]
-    for i in range(start - 1, -1, -1):
-        letter = word[i]
-        if modified:
-            out = {(letter,) + w: den * coeff for w, coeff in acc.items() if len(w) < max_len}
-            d_i = d_ints.get(letter)  # the integrator channel is 0: no key 0
-        else:
-            out = {}
-            d_i = d_ints.get(letter) if letter != 0 else {(): den}
-        if d_i:
-            for w, coeff in shuffle_ints(d_i, acc, max_len - 1).items():
-                out[(0,) + w] = coeff
-        acc = images[word[i:]] = out
-    return acc
 
 
 def _target_length(max_len: int | None, known: int, verb: str) -> int:
@@ -81,23 +53,57 @@ def _target_length(max_len: int | None, known: int, verb: str) -> int:
     return length
 
 
+def _channel_image(words: dict, d_ints: dict, den: int, length: int,
+                   modified: bool) -> dict:
+    """den**length times the image of one channel {word: numerator} of the left
+    factor under the (modified) cascade homomorphism applied to 1; d_ints[i] is
+    den times channel i of the right factor, its words in order of length.
+
+    A Horner pass over the prefixes p of the words, longest first: T(p) =
+    c_p * den**(length - |p|) + sum over letters a of step_a(T(p.a)), and the
+    image is T(()).  The step on T(p.a) reads only the letter a: it prepends a
+    (times den) where the cascade keeps the letter, and prefixes the integrator
+    letter to the shuffle with d_a.  A step adds one letter, so T(p) is read
+    only up to length - |p|, and each shuffle stops there.  Shuffled words
+    start with the integrator letter, which never prepends where a shuffle
+    happens, so the two parts never share a word.
+    """
+    levels: list = [{} for _ in range(length + 1)]  # levels[n]: T(p) for |p| == n
+    for word, k in words.items():
+        if len(word) <= length:  # a longer word's image has only longer words
+            levels[len(word)][word] = {(): k * den ** (length - len(word))}
+    for n in range(length, 0, -1):
+        cap = length - n
+        parents = levels[n - 1]
+        for prefix, acc in levels[n].items():
+            letter, parent = prefix[-1], prefix[:-1]
+            out = parents.get(parent)
+            if out is None:
+                out = parents[parent] = {}
+            get = out.get
+            if modified or letter == 0:  # the plain cascade maps x_0 to x_0 . 1
+                for w, k in acc.items():
+                    key = (letter,) + w
+                    out[key] = get(key, 0) + den * k
+            d_a = d_ints.get(letter)  # the integrator letter has no channel: no key 0
+            if d_a:
+                for w, k in shuffle_ints(acc, d_a, cap).items():
+                    key = (0,) + w
+                    out[key] = get(key, 0) + k
+    return levels[0].get((), {})
+
+
 def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None) -> Series:
     _require_composable(c, d)
     length = _target_length(max_len, min(c.max_len, d.max_len), "compose")
     d = d.truncated(length)  # its least denominator keeps the folded ints small
     den = d.den
-    d_ints = channel_nums(d)
+    d_ints = {ch: by_length(p) for ch, p in channel_nums(d).items()}
     # every word of length n <= length is scaled by den**(length - n) on top of
     # its den**n, so each channel sums over the one denominator c.den * den**length
-    images: dict = {(): {(): 1}}
-    totals: dict = {}
-    for (ch, word), coeff in c.nums.items():
-        if len(word) > length:
-            continue  # its image has only longer words
-        image = _fold_word(word, images, d_ints, den, length, modified)
-        scale = coeff * den ** (length - len(word))
-        for w, k in image.items():
-            totals[ch, w] = totals.get((ch, w), 0) + scale * k
+    totals = {(ch, w): k
+              for ch, words in channel_nums(c).items()
+              for w, k in _channel_image(words, d_ints, den, length, modified).items()}
     return from_nums(c.ell, c.m, length, totals, c.den * den ** length)
 
 
@@ -181,16 +187,18 @@ def group_inverse(c: Series, max_len: int | None = None) -> Series:
     """Series part of the group inverse: the fixed point of d = -mod_compose(c, d).
 
     c (.) d = d + mod_compose(c, d) vanishes there (Gray & Li 2005).  Length-n
-    words of mod_compose(c, d) read d only below length n, so each round from
-    zero fixes one more length: length + 1 rounds are exact, at a cost set by
-    the support of c (truncated to the target length first).  mod_compose is
-    linear in its left factor, so each round is mod_compose(-c, d).
+    words of mod_compose(c, d) read d only below length n, so the rounds grow
+    the length: round n = 0..length takes the inverse known below n, pads it
+    with zero length-n words and returns mod_compose(-c, d) at length n, exact
+    there.  Each round costs one product at its own length, set by the support
+    of c; mod_compose is linear in its left factor, so c is negated once.
     """
     length = _inverse_length(c, max_len)
+    m = c.m
     minus_c = -c.truncated(length)
-    d = zero_series(c.m, c.m, length)
-    for _ in range(length + 1):
-        d = mod_compose(minus_c, d, length)
+    d = zero_series(m, m, 0)
+    for n in range(length + 1):
+        d = mod_compose(minus_c.truncated(n), from_nums(m, m, n, d.nums, d.den), n)
     return d
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
 
 _MEMO_TABLES: list = []
 
@@ -166,12 +165,6 @@ def format_poly(p: LinComb, format_factor) -> str:
 
 def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def scale_to_ints(coeffs: dict) -> tuple[dict, int]:
-    """(D * coeffs, D) for the least D that makes every int/Fraction coefficient an int."""
-    den = lcm(*(v.denominator for v in coeffs.values()))
-    return {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}, den
 
 
 def format_rational(value) -> str:

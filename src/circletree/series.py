@@ -11,16 +11,18 @@ positive denominator, and gcd(den, *nums) == 1, so a value has exactly
 one form and equality compares the fields.  Every operation here and in
 `groupops` reads and writes that form, and Fractions appear only at the
 edge: the constructor takes any rational values, `coeff` returns one
-Fraction, and `coeffs`, the dict of Fractions, is built on first read.
+Fraction, and `coeffs`, a read-only view of the Fractions, is built on
+first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
-from .lincomb import LinComb, as_fraction, parse_rational
-from .words import Word, format_word, parse_word, shuffle_ints
+from .lincomb import as_fraction, parse_rational
+from .words import Word, by_length, format_word, parse_word, shuffle_ints
 
 
 _ZERO = Fraction(0)  # Fraction is immutable, so every miss can share it
@@ -89,16 +91,19 @@ class Series:
                 for key, value in clean.items()}
         _set_fields(self, ell, m, max_len, nums, den, clean)
 
-    @property
-    def coeffs(self) -> dict:
-        """{(channel, word): Fraction} of the nonzero coefficients, in the order
-        of `nums`; built on first read and cached, so treat it as read-only."""
+    def _fractions(self) -> dict:
         coeffs = self._coeffs
         if coeffs is None:
             den = self.den
             coeffs = {key: Fraction(n, den) for key, n in self.nums.items()}
             object.__setattr__(self, "_coeffs", coeffs)
         return coeffs
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """{(channel, word): Fraction} of the nonzero coefficients, in the order
+        of `nums`: a read-only view of a dict built on first read and cached."""
+        return MappingProxyType(self._fractions())
 
     def __eq__(self, other):
         if other.__class__ is not Series:
@@ -108,18 +113,14 @@ class Series:
 
     def __repr__(self) -> str:
         return (f"Series(ell={self.ell!r}, m={self.m!r}, max_len={self.max_len!r}, "
-                f"coeffs={self.coeffs!r})")
+                f"coeffs={self._fractions()!r})")
 
     def __reduce__(self):
-        return Series, (self.ell, self.m, self.max_len, self.coeffs)
+        return Series, (self.ell, self.m, self.max_len, self._fractions())
 
     def coeff(self, channel: int, word: Word) -> Fraction:
         n = self.nums.get((channel, tuple(word)))
         return Fraction(n, self.den) if n else _ZERO
-
-    def channel_poly(self, channel: int) -> LinComb:
-        return LinComb({word: value for (ch, word), value in self.coeffs.items()
-                        if ch == channel})
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -178,7 +179,7 @@ def shuffle_product(a: Series, b: Series) -> Series:
     nums = {}
     b_channels = channel_nums(b)
     for ch, p in channel_nums(a).items():
-        for word, k in shuffle_ints(p, b_channels[ch], max_len).items():
+        for word, k in shuffle_ints(p, by_length(b_channels[ch]), max_len).items():
             nums[(ch, word)] = k
     return from_nums(a.ell, a.m, max_len, nums, a.den * b.den)
 

@@ -8,9 +8,7 @@ other letter weight 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .lincomb import LinComb, memo, scale_to_ints
+from .lincomb import LinComb, memo
 
 Word = tuple[int, ...]
 
@@ -45,32 +43,31 @@ def shuffle(u: Word, v: Word) -> LinComb:
     return LinComb(_shuffle_items(tuple(u), tuple(v)))
 
 
+def by_length(p: dict) -> dict:
+    """p with its words in order of length, the order `shuffle_ints` reads its
+    right factor in."""
+    return dict(sorted(p.items(), key=lambda item: len(item[0])))
+
+
 def shuffle_ints(p: dict, q: dict, max_len: int | None = None) -> dict:
-    """Bilinear shuffle of two int-coefficient word dicts, zeros dropped: the kernel."""
+    """Bilinear shuffle of two int-coefficient word dicts, zeros dropped: the kernel.
+
+    q must list its words in order of length (see `by_length`), so that the
+    words too long for a word of p end each pass; callers order a factor
+    once and shuffle many left factors against it."""
     out: dict = {}
     get = out.get
     limit = float("inf") if max_len is None else max_len
-    by_len = sorted(q.items(), key=lambda item: len(item[0]))
+    q_items = q.items()
     for u, a in p.items():
         room = limit - len(u)
-        for v, b in by_len:
+        for v, b in q_items:
             if len(v) > room:
                 break
             ab = a * b
             for word, mult in _shuffle_items(u, v):
                 out[word] = get(word, 0) + ab * mult
     return {word: coeff for word, coeff in out.items() if coeff}
-
-
-def shuffle_polys(p: LinComb, q: LinComb, max_len: int | None = None) -> LinComb:
-    """Bilinear shuffle of two word polynomials, dropping words longer than max_len."""
-    p_ints, p_den = scale_to_ints(p)
-    q_ints, q_den = scale_to_ints(q)
-    den = p_den * q_den
-    out = shuffle_ints(p_ints, q_ints, max_len)
-    if den == 1:
-        return LinComb(out)
-    return LinComb({word: Fraction(coeff, den) for word, coeff in out.items()})
 
 
 def format_word(word: Word) -> str:

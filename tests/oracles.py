@@ -1,7 +1,35 @@
 """Shared expected-value builders used by module and acceptance tests."""
 
+from fractions import Fraction
+from math import lcm
+
 from circletree.coordmaps import CoordMap as A
 from circletree.lincomb import LinComb
+from circletree.words import by_length, shuffle_ints
+
+
+def scale_to_ints(coeffs: dict) -> tuple[dict, int]:
+    """(D * coeffs, D) for the least D that makes every int/Fraction coefficient an int."""
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}, den
+
+
+def shuffle_polys(p: LinComb, q: LinComb, max_len: int | None = None) -> LinComb:
+    """Bilinear shuffle of two word polynomials, dropping words longer than
+    max_len: the int kernel `shuffle_ints` read back as Fractions."""
+    p_ints, p_den = scale_to_ints(p)
+    q_ints, q_den = scale_to_ints(q)
+    den = p_den * q_den
+    out = shuffle_ints(p_ints, by_length(q_ints), max_len)
+    if den == 1:
+        return LinComb(out)
+    return LinComb({word: Fraction(coeff, den) for word, coeff in out.items()})
+
+
+def channel_poly(series, channel: int) -> LinComb:
+    """One channel of a series as a word polynomial with Fraction coefficients."""
+    return LinComb({word: value for (ch, word), value in series.coeffs.items()
+                    if ch == channel})
 
 
 def S(*maps):

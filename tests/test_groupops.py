@@ -18,7 +18,7 @@ from circletree.groupops import (
 )
 from circletree.lincomb import LinComb
 from circletree.series import Series, add, zero_series
-from circletree.words import shuffle_polys
+from oracles import channel_poly, shuffle_polys
 
 
 def series(coeffs, ell=1, m=2, max_len=4):
@@ -50,7 +50,7 @@ def oracle_compose_word(word, d, max_len):
     """Independent right-to-left expansion of the cascade homomorphism."""
     acc = LinComb({(): 1})
     for letter in reversed(word):
-        d_i = LinComb({(): 1}) if letter == 0 else d.channel_poly(letter)
+        d_i = LinComb({(): 1}) if letter == 0 else channel_poly(d, letter)
         shuffled = shuffle_polys(d_i, acc, max_len - 1)
         acc = LinComb({(0,) + w: v for w, v in shuffled.items()})
     return acc
@@ -61,7 +61,7 @@ def test_compose_two_letters_against_oracle():
     c = series({(1, (1, 2)): 1})
     expected = oracle_compose_word((1, 2), d, 4)
     got = compose(c, d)
-    assert got.channel_poly(1) == expected
+    assert channel_poly(got, 1) == expected
 
 
 def test_compose_random_against_oracle():
@@ -72,7 +72,7 @@ def test_compose_random_against_oracle():
         expected = LinComb()
         for (ch, word), coeff in c.coeffs.items():
             expected.add_comb(oracle_compose_word(word, d, 4), coeff)
-        assert compose(c, d).channel_poly(1) == expected
+        assert channel_poly(compose(c, d), 1) == expected
 
 
 def test_compose_linear_in_left_argument():
@@ -198,6 +198,19 @@ def test_inverse_to_a_shorter_length_is_the_truncated_inverse():
             short = invert(c, max_len=2)
             assert short.max_len == 2
             assert short.coeffs == full.coeffs, invert.__name__
+
+
+@pytest.mark.parametrize("length", [8, 10])
+def test_deep_inverse_cancels_and_truncates(length):
+    """The rounds run at growing length; at depth the inverse still cancels on
+    both sides, and inverting to a shorter length truncates it."""
+    c = rand_series(random.Random(3), 2, 2, length)  # an inverse of 1461 and 7969 terms
+    inv = group_inverse(c)
+    assert inv.max_len == length
+    assert group_product(c, inv) == zero_series(2, 2, length)
+    assert group_product(inv, c) == zero_series(2, 2, length)
+    for n in range(9):
+        assert group_inverse(c, n) == inv.truncated(n), n
 
 
 def test_inverse_needs_enough_truncation():

@@ -105,6 +105,19 @@ def test_series_value_semantics():
         a.max_len = 5
 
 
+def test_coeffs_is_a_read_only_view():
+    a = Series(1, 2, 2, {(1, (1,)): 1, (1, ()): Fraction(-1, 2)})
+    text = repr(a)
+    with pytest.raises(TypeError):
+        a.coeffs[(1, (1,))] = 5
+    with pytest.raises(TypeError):
+        del a.coeffs[(1, ())]
+    assert repr(a) == text == ("Series(ell=1, m=2, max_len=2, "
+                               "coeffs={(1, (1,)): Fraction(1, 1), (1, ()): Fraction(-1, 2)})")
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert a.coeffs == {(1, (1,)): 1, (1, ()): Fraction(-1, 2)}
+
+
 def test_derived_series_pass_the_constructor_checks():
     """Results built without re-validation equal their validated rebuild."""
     from circletree.groupops import compose, group_inverse, group_product, mod_compose

@@ -9,9 +9,9 @@ from circletree.words import (
     letter_weight,
     parse_word,
     shuffle,
-    shuffle_polys,
     word_degree,
 )
+from oracles import shuffle_polys
 
 
 def brute_shuffle(u, v):
