@@ -49,12 +49,12 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", PARSE_ERROR) from exc
 
 
-def _load_series(path: str, args) -> Series:
+def _load_series(path: str, args, max_len: int | None) -> Series:
     text = _read_text(path)
     try:
         if args.format == "json":
             return series_mod.loads_json(text)
-        return series_mod.parse_series(text, ell=args.ell, m=args.m, max_len=args.maxlen)
+        return series_mod.parse_series(text, ell=args.ell, m=args.m, max_len=max_len)
     except (ValueError, KeyError) as exc:
         raise CliError(f"cannot parse series {path}: {exc}", PARSE_ERROR) from exc
 
@@ -251,8 +251,8 @@ def _run(args) -> int:
         return 0
 
     if args.command in {"compose", "modcompose", "hatcompose", "group"}:
-        a = _load_series(args.inputs[0], args)
-        b = _load_series(args.inputs[1], args)
+        a = _load_series(args.inputs[0], args, args.maxlen)
+        b = _load_series(args.inputs[1], args, args.maxlen)
         op = {
             "compose": groupops.compose,
             "modcompose": groupops.mod_compose,
@@ -268,11 +268,10 @@ def _run(args) -> int:
 
     if args.command == "invert":
         target = args.maxlen
-        args.maxlen = None  # file terms fix the polynomial; parse at natural length
-        a = _load_series(args.inputs[0], args)
-        args.maxlen = target
+        # the file's terms fix the polynomial: read it at its natural length
+        a = _load_series(args.inputs[0], args, None)
         if target is not None and target > a.max_len:
-            a = Series(a.ell, a.m, target, dict(a.coeffs))
+            a = series_mod.from_nums(a.ell, a.m, target, a.nums, a.den)
         try:
             result = groupops.group_inverse(a, target)
         except ValueError as exc:
@@ -281,8 +280,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "convolve":
-        a = _load_series(args.inputs[0], args)
-        b = _load_series(args.inputs[1], args)
+        a = _load_series(args.inputs[0], args, args.maxlen)
+        b = _load_series(args.inputs[1], args, args.maxlen)
         try:
             cmap = coordmaps.parse_coord_map(args.coordmap)
         except ValueError as exc:

@@ -17,22 +17,24 @@ three ways:
   its raw expansion cancels heavily, which `antipode_stats` counts;
 * the closed forest formula, one signed monomial per general extraction
   and labelling, never mixing signs on a monomial: the independent oracle
-  of the recursions and the route of the forest statistics.  Its blocks
-  are bitmasks; `forest_signed_terms` lists them as position subsets.
+  of the recursions.  Its blocks are bitmasks; `forest_signed_terms` lists
+  them as position subsets for the sign-purity check.
 
 Trees and coordinate maps are one generator type (`CoordMap` is `Rct`),
 so both recursions read the combined terms `coordmaps.reduced_terms`
 with no relabelling, and the memoized ones fill and read the one
 `coordmaps._antipode` table, keyed by (generator, m, side); only the
 formatter (`1:0.0` here, `a[1;0.0]` there) tells the sides apart.  Pass
-memoize=False to force the raw expansion, e.g. to time it.  `antipode_stats` counts the terms of the
-raw left expansion as g(a) = 1 + sum k g(l) over the combined terms
-k l (x) r with r != 1.
+memoize=False to force the raw expansion, e.g. to time it.  `antipode_stats`
+counts the raw terms of either recursion from the combined terms
+k l (x) r_1...r_n: g(a) = 1 + sum k g(l) on the left, and on the right
+M(a) = 1 + sum k M(r_1)...M(r_n), the number of forest terms.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import Iterator, NamedTuple
 
 from . import coordmaps, lincomb
@@ -167,24 +169,22 @@ class StatsRecord(NamedTuple):
 
 
 @memo
-def _generated_count(a: Rct, m: int) -> int:
-    """Signed monomials the raw left recursion emits for `a` before combining."""
-    return 1 + sum(k * _generated_count(left, m) for left, _right, k in reduced_terms(a, m))
+def _raw_count(a: Rct, m: int, side: str) -> int:
+    """Signed monomials the raw recursion on `side` emits for `a` before
+    combining, the twin of `lincomb.antipode_step`; on the right it is the
+    number of forest terms."""
+    if side == "left":
+        return 1 + sum(k * _raw_count(left, m, side) for left, _right, k in reduced_terms(a, m))
+    return 1 + sum(k * prod(_raw_count(r, m, side) for r in right)
+                   for _left, right, k in reduced_terms(a, m))
 
 
 def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecord:
-    if method == "forest":
-        poly = LinComb()
-        generated = 0
-        for _family, mono, sign in forest_signed_terms(c, m):
-            generated += 1
-            poly.add_term(mono, sign)
-    elif method == "recursive_left":
-        # the antipode is one element whichever route computes it
-        generated = _generated_count(c, m)
-        poly = antipode(c, m)
-    else:
+    side = {"recursive_left": "left", "forest": "right"}.get(method)
+    if side is None:
         raise ValueError(f"unknown stats method {method!r}")
+    generated = _raw_count(c, m, side)
+    poly = antipode(c, m)  # the antipode is one element whichever route computes it
     cancelled = generated - poly.coeff_mass()
     return StatsRecord(degree(c), method, generated, len(poly), cancelled)
 

@@ -12,7 +12,7 @@ one form and equality compares the fields.  Every operation here and in
 `groupops` reads and writes that form, and Fractions appear only at the
 edge: the constructor takes any rational values, `coeff` returns one
 Fraction, and `coeffs`, a read-only view of the Fractions, is built on
-first read.
+each read.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ def _frozen(self, *_args):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _set_fields(series, ell: int, m: int, max_len: int, nums: dict, den: int,
-                coeffs: dict | None) -> None:
+def _set_fields(series, ell: int, m: int, max_len: int, nums: dict, den: int) -> None:
     for name, value in (("ell", ell), ("m", m), ("max_len", max_len), ("nums", nums),
-                        ("den", den), ("_coeffs", coeffs)):
+                        ("den", den)):
         object.__setattr__(series, name, value)
 
 
@@ -51,7 +50,7 @@ def from_nums(ell: int, m: int, max_len: int, nums: dict, den: int) -> "Series":
         den //= g
         nums = {key: n // g for key, n in nums.items()}
     out = object.__new__(Series)
-    _set_fields(out, ell, m, max_len, nums, den, None)
+    _set_fields(out, ell, m, max_len, nums, den)
     return out
 
 
@@ -65,7 +64,7 @@ class Series:
     and compare equal when shape and coefficients agree.
     """
 
-    __slots__ = ("ell", "m", "max_len", "nums", "den", "_coeffs")
+    __slots__ = ("ell", "m", "max_len", "nums", "den")
     __setattr__ = __delattr__ = _frozen
     __hash__ = None
 
@@ -89,20 +88,16 @@ class Series:
         den = lcm(*[value.denominator for value in clean.values()])
         nums = {key: value.numerator * (den // value.denominator)
                 for key, value in clean.items()}
-        _set_fields(self, ell, m, max_len, nums, den, clean)
+        _set_fields(self, ell, m, max_len, nums, den)
 
     def _fractions(self) -> dict:
-        coeffs = self._coeffs
-        if coeffs is None:
-            den = self.den
-            coeffs = {key: Fraction(n, den) for key, n in self.nums.items()}
-            object.__setattr__(self, "_coeffs", coeffs)
-        return coeffs
+        den = self.den
+        return {key: Fraction(n, den) for key, n in self.nums.items()}
 
     @property
     def coeffs(self) -> MappingProxyType:
         """{(channel, word): Fraction} of the nonzero coefficients, in the order
-        of `nums`: a read-only view of a dict built on first read and cached."""
+        of `nums`: a read-only view of a dict built on each read."""
         return MappingProxyType(self._fractions())
 
     def __eq__(self, other):

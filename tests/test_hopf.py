@@ -150,6 +150,7 @@ def test_forest_term_counts_match_published_totals():
     for k, total in published.items():
         c = Rct(1, (0,) * k)
         assert sum(1 for _ in forest_signed_terms(c, 1)) == total
+        assert antipode_stats(c, 1, "forest").generated == total  # counted, not listed
 
 
 def test_antipode_stats():
@@ -164,6 +165,12 @@ def test_antipode_stats():
     assert forest.generated == 26
     assert forest.distinct == 17
     assert forest.cancelled_mass == 0
+
+
+def test_forest_count_is_the_net_mass_of_the_antipode():
+    # the right recursion never cancels, so its raw count is the net mass
+    for c in iter_rcts(13, 1):
+        assert antipode_stats(c, 1, "forest").cancelled_mass == 0, c
 
 
 def _enumerated_count(word, m, table):
@@ -208,6 +215,7 @@ def test_forest_families_are_the_general_families():
             assert set(families) == expected, c
             assert len(families) == sum(m ** len(fam) for fam in expected), c
             assert antipode_forest(c, m).coeff_mass() == len(families), c
+            assert antipode_stats(c, m, "forest").generated == len(families), c
 
 
 def test_forest_equals_both_recursions_at_degree_15():
@@ -253,6 +261,8 @@ def test_the_algebra_enumerates_no_extraction_family(monkeypatch):
     for side in ("left", "right"):
         for memoize in (True, False):
             assert antipode_recursive(c, 2, side, memoize)
+    for method in ("recursive_left", "forest"):
+        assert antipode_stats(c, 2, method).generated
     with pytest.raises(AssertionError, match="enumerated"):
         antipode_forest(c, 2)  # the forest formula is the route that does
     hopf.clear_caches()
