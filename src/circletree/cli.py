@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Parse errors exit with code 2, semantic errors (shape or alphabet
-mismatches, insufficient truncation) with code 3.  A reader that closes
-stdout early (`| head`) ends the run quietly with code 1.  All output is
-canonically sorted, so identical invocations produce identical bytes.
+A malformed argument or file exits with code 2: `_parsed` maps a parser's
+ValueError there.  A request the library refuses (shape or alphabet
+mismatch, insufficient truncation) raises ValueError, and `main` maps it
+to code 3.  `--maxlen` truncates series files of both formats.  A reader
+that closes stdout early (`| head`) ends the run quietly with code 1.  All
+output is canonically sorted, so identical invocations produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -49,36 +52,48 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", PARSE_ERROR) from exc
 
 
-def _load_series(path: str, args, max_len: int | None) -> Series:
-    text = _read_text(path)
+def _parsed(parse, *args):
+    """parse(*args), its ValueError a parse error (code 2) with the same message."""
     try:
-        if args.format == "json":
-            return series_mod.loads_json(text)
-        return series_mod.parse_series(text, ell=args.ell, m=args.m, max_len=max_len)
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"cannot parse series {path}: {exc}", PARSE_ERROR) from exc
-
-
-def _emit_series(result: Series, args) -> None:
-    if args.format == "json":
-        print(series_mod.dumps_json(result))
-    else:
-        print(series_mod.format_series(result))
-
-
-def _parse_rct_arg(text: str, m: int) -> Rct:
-    try:
-        return parse_rct(text, m)
+        return parse(*args)
     except ValueError as exc:
         raise CliError(str(exc), PARSE_ERROR) from exc
 
 
+def _load_series(path: str, args, max_len: int | None) -> Series:
+    """The series of a file read at max_len (None: the length it holds)."""
+    text = _read_text(path)
+    try:
+        if args.format == "text":
+            return series_mod.parse_series(text, ell=args.ell, m=args.m, max_len=max_len)
+        series = series_mod.loads_json(text)
+    except (ValueError, KeyError) as exc:
+        raise CliError(f"cannot parse series {path}: {exc}", PARSE_ERROR) from exc
+    length = series.max_len if max_len is None else max_len
+    if not 0 <= length <= series.max_len:
+        raise ValueError(f"--maxlen {max_len} is outside 0..{series.max_len}, "
+                         f"the word lengths {path} is known to")
+    return series.truncated(length)
+
+
+def _emit_series(result: Series, args) -> None:
+    print(series_mod.dumps_json(result) if args.format == "json"
+          else series_mod.format_series(result))
+
+
 def _extraction_line(extraction) -> str:
-    if extraction.kind == "empty":
-        return "empty"
-    if extraction.kind == "total":
-        return "total"
+    if extraction.kind in ("empty", "total"):
+        return extraction.kind
     return " ".join(format_subset(s) for s in extraction.subsets)
+
+
+# the two-series products: command -> (library function, help text)
+PRODUCTS = {
+    "compose": (groupops.compose, "cascade product of two series"),
+    "modcompose": (groupops.mod_compose, "modified cascade product"),
+    "hatcompose": (groupops.hat_compose, "identity-shifted cascade product"),
+    "group": (groupops.group_product, "feedback group product"),
+}
 
 
 def _add_series_io(parser, two_inputs=True):
@@ -139,14 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--m", type=int, required=True)
 
-    for name, help_text in (
-        ("compose", "cascade product of two series"),
-        ("modcompose", "modified cascade product"),
-        ("hatcompose", "identity-shifted cascade product"),
-        ("group", "feedback group product"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_series_io(p)
+    for name, (_product, help_text) in PRODUCTS.items():
+        _add_series_io(sub.add_parser(name, help=help_text))
 
     p = sub.add_parser(
         "invert", help="feedback group inverse (fixed point of d = -mod_compose(c, d))")
@@ -170,26 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     if getattr(args, "rct", None) is not None:  # the one-tree commands and `degree --rct`
-        c = _parse_rct_arg(args.rct, args.m)
+        c = _parsed(parse_rct, args.rct, args.m)
 
     if args.command == "shuffle":
-        try:
-            u = parse_word(args.words[0], args.m)
-            v = parse_word(args.words[1], args.m)
-        except ValueError as exc:
-            raise CliError(str(exc), PARSE_ERROR) from exc
-        result = shuffle(u, v)
+        result = shuffle(*(_parsed(parse_word, word, args.m) for word in args.words))
         for word in sorted(result, key=lambda w: (len(w), w)):
             print(f"{format_word(word)} {format_rational(result[word])}")
         return 0
 
     if args.command == "degree":
         if args.word is not None:
-            try:
-                word = parse_word(args.word, args.m)
-            except ValueError as exc:
-                raise CliError(str(exc), PARSE_ERROR) from exc
-            print(word_degree(word))
+            print(word_degree(_parsed(parse_word, args.word, args.m)))
         else:
             print(f"degree {degree(c)}")
             print(f"weight {weight(c)}")
@@ -235,62 +235,37 @@ def _run(args) -> int:
             raise CliError(f"--max-degree {args.max_degree} is below 3, the first row of the "
                            "table", PARSE_ERROR)
         print("degree,distinct_terms")
-        k = 1
-        while 2 * k + 1 <= args.max_degree:
-            c = Rct(1, (0,) * k)
-            print(f"{2 * k + 1},{len(hopf.antipode(c, 1))}")
-            k += 1
+        for k in range(1, (args.max_degree - 1) // 2 + 1):
+            print(f"{2 * k + 1},{len(hopf.antipode(Rct(1, (0,) * k), 1))}")
         return 0
 
     if args.command == "prelie":
-        left = _parse_rct_arg(args.left, args.m)
-        right = _parse_rct_arg(args.right, args.m)
-        result = prelie.prelie_product(left, right)
+        result = prelie.prelie_product(
+            *(_parsed(parse_rct, tree, args.m) for tree in (args.left, args.right)))
         for c in sorted(result):
             print(f"{format_rct(c)} {format_rational(result[c])}")
         return 0
 
-    if args.command in {"compose", "modcompose", "hatcompose", "group"}:
+    if args.command in PRODUCTS:
         a = _load_series(args.inputs[0], args, args.maxlen)
         b = _load_series(args.inputs[1], args, args.maxlen)
-        op = {
-            "compose": groupops.compose,
-            "modcompose": groupops.mod_compose,
-            "hatcompose": groupops.hat_compose,
-            "group": groupops.group_product,
-        }[args.command]
-        try:
-            result = op(a, b)
-        except ValueError as exc:
-            raise CliError(str(exc), SEMANTIC_ERROR) from exc
-        _emit_series(result, args)
+        _emit_series(PRODUCTS[args.command][0](a, b), args)
         return 0
 
     if args.command == "invert":
-        target = args.maxlen
         # the file's terms fix the polynomial: read it at its natural length
         a = _load_series(args.inputs[0], args, None)
-        if target is not None and target > a.max_len:
-            a = series_mod.from_nums(a.ell, a.m, target, a.nums, a.den)
-        try:
-            result = groupops.group_inverse(a, target)
-        except ValueError as exc:
-            raise CliError(str(exc), SEMANTIC_ERROR) from exc
-        _emit_series(result, args)
+        if args.maxlen is not None and args.maxlen > a.max_len:
+            a = series_mod.from_nums(a.ell, a.m, args.maxlen, a.nums, a.den)
+        _emit_series(groupops.group_inverse(a, args.maxlen), args)
         return 0
 
     if args.command == "convolve":
         a = _load_series(args.inputs[0], args, args.maxlen)
         b = _load_series(args.inputs[1], args, args.maxlen)
-        try:
-            cmap = coordmaps.parse_coord_map(args.coordmap)
-        except ValueError as exc:
-            raise CliError(str(exc), PARSE_ERROR) from exc
-        try:
-            value = groupops.convolve(groupops.Character(a), groupops.Character(b), cmap)
-        except ValueError as exc:
-            raise CliError(str(exc), SEMANTIC_ERROR) from exc
-        print(format_rational(value))
+        cmap = _parsed(coordmaps.parse_coord_map, args.coordmap)
+        print(format_rational(
+            groupops.convolve(groupops.Character(a), groupops.Character(b), cmap)))
         return 0
 
     if args.command == "numcheck":
@@ -315,19 +290,17 @@ def _run(args) -> int:
         print(f"max deviation at N={args.N}: {worst:.6e}")
         return 0
 
-    if args.command == "axioms":
-        for flag, value in (("--max-degree", args.max_degree), ("--m", args.m)):
-            if value < 1:
-                raise CliError(f"{flag} {value} is below 1: the sweep would check nothing",
-                               PARSE_ERROR)
-        from . import checks
+    # axioms: the subparsers, `required=True`, admit no other command
+    for flag, value in (("--max-degree", args.max_degree), ("--m", args.m)):
+        if value < 1:
+            raise CliError(f"{flag} {value} is below 1: the sweep would check nothing",
+                           PARSE_ERROR)
+    from . import checks
 
-        for name, count in checks.run_axioms(args.max_degree, args.m):
-            print(f"{name}: {'OK' if count else 'skipped'} ({count} cases)")
-        print("OK")
-        return 0
-
-    raise CliError(f"unknown command {args.command}", PARSE_ERROR)
+    for name, count in checks.run_axioms(args.max_degree, args.m):
+        print(f"{name}: {'OK' if count else 'skipped'} ({count} cases)")
+    print("OK")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -340,6 +313,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # a parse error is a CliError by now: this is a refusal
+        print(f"error: {exc}", file=sys.stderr)
+        return SEMANTIC_ERROR
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

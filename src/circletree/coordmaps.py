@@ -148,7 +148,10 @@ def parse_coord_map(text: str, m: int | None = None) -> CoordMap:
     if ";" not in inner:
         raise ValueError(f"malformed coordinate map {text!r}")
     channel_text, word_text = inner.split(";", 1)
-    channel = int(channel_text)
+    try:
+        channel = int(channel_text)
+    except ValueError as exc:
+        raise ValueError(f"malformed channel in {text!r}") from exc
     if m is None and channel < 1:
         raise ValueError(f"channel {channel} must be >= 1")
     if m is not None and not 1 <= channel <= m:

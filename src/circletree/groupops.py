@@ -124,7 +124,7 @@ def mod_compose(c: Series, d: Series, max_len: int | None = None) -> Series:
 def hat_compose(c: Series, d: Series, max_len: int | None = None) -> Series:
     """(identity + left) driven by the right factor: d + compose(c, d)."""
     composed = compose(c, d, max_len)
-    return add(d.truncated(composed.max_len), composed)
+    return add(d, composed)
 
 
 def group_product(c: Series, d: Series, max_len: int | None = None) -> Series:
@@ -132,7 +132,7 @@ def group_product(c: Series, d: Series, max_len: int | None = None) -> Series:
     if c.ell != c.m:
         raise ValueError("group elements must be square (ell == m)")
     modified = mod_compose(c, d, max_len)
-    return add(d.truncated(modified.max_len), modified)
+    return add(d, modified)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from .lincomb import LinComb, memo
 
 Word = tuple[int, ...]
 
-EMPTY_WORD: Word = ()
-
 
 def letter_weight(letter: int) -> int:
     return 2 if letter == 0 else 1

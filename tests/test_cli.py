@@ -187,6 +187,49 @@ def test_json_shape_below_one_is_a_parse_error(tmp_path, capsys):
         assert err.startswith(f"error: cannot parse series {path}: series shape ell=0"), argv
 
 
+def _json_pair(tmp_path) -> list[str]:
+    """Two m=2 JSON documents known to length 3, with words of every length."""
+    paths = []
+    for name, terms in (("a", [(1, "2", "1"), (1, "0.1", "1/2"), (2, "1.2.1", "-1")]),
+                        ("b", [(2, "1", "1"), (1, "2.2", "3"), (2, "0.1.2", "1/3")])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"ell": 2, "m": 2, "max_len": 3, "terms": [
+            {"channel": ch, "word": word, "coeff": k} for ch, word, k in terms]}))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("product", ["compose", "modcompose", "hatcompose", "group"])
+def test_maxlen_truncates_json_input(tmp_path, capsys, product):
+    """A JSON document read with --maxlen is cut there, as a text file is."""
+    a, b = _json_pair(tmp_path)
+    code, out, err = run_cli(capsys, product, a, b, "--format", "json", "--maxlen", "2")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert result["max_len"] == 2
+    assert all(len(term["word"].split(".")) <= 2 for term in result["terms"])
+    _, full, _ = run_cli(capsys, product, a, b, "--format", "json")
+    assert json.loads(full)["terms"][:1] == result["terms"][:1]
+
+
+def test_maxlen_above_a_json_document_is_refused(tmp_path, capsys):
+    a, b = _json_pair(tmp_path)
+    for argv in (("group", a, b), ("convolve", a, b, "--coordmap", "a[1;1]")):
+        code, out, err = run_cli(capsys, *argv, "--format", "json", "--maxlen", "4")
+        assert (code, out) == (3, ""), argv
+        assert err == f"error: --maxlen 4 is outside 0..3, the word lengths {a} is known to\n"
+
+
+def test_convolve_past_the_json_maxlen_is_refused(tmp_path, capsys):
+    a, b = _json_pair(tmp_path)
+    argv = ("convolve", a, b, "--format", "json", "--coordmap", "a[2;1.2.1]")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, *argv, "--maxlen", "2")
+    assert (code, out) == (3, "")
+    assert "exceeds the series truncation 2" in err
+
+
 def test_invert_command(tmp_path, capsys):
     a = tmp_path / "a.series"
     a.write_text("1 1 1\n2 2 1\n")
@@ -314,6 +357,13 @@ def test_labels_below_one_without_m_are_parse_errors(tmp_path, capsys):
     sq.write_text("1 e 2\n1 1 1\n")
     code, out, err = run_cli(capsys, "convolve", str(sq), str(sq), "--coordmap", "a[0;1]")
     assert (code, out, err) == (2, "", "error: channel 0 must be >= 1\n")
+
+
+def test_a_coordmap_channel_that_is_no_integer_is_a_parse_error(tmp_path, capsys):
+    sq = tmp_path / "sq.series"
+    sq.write_text("1 e 2\n1 1 1\n")
+    code, out, err = run_cli(capsys, "convolve", str(sq), str(sq), "--coordmap", "a[x;1]")
+    assert (code, out, err) == (2, "", "error: malformed channel in 'a[x;1]'\n")
 
 
 def test_python_m_circletree_runs_the_cli():
