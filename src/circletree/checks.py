@@ -16,7 +16,7 @@ from functools import partial
 from . import coordmaps, groupops, hopf, prelie
 from .lincomb import LinComb
 from .series import Series, add, left_concat, shuffle_product, zero_series
-from .trees import Rct, admissible_subsets, degree, delete_positions, iter_rcts, restrict
+from .trees import Rct, block_tree, degree, iter_rcts, labelled_extractions
 from .words import Word
 
 
@@ -239,18 +239,18 @@ def check_figure_relations(c: Rct, m: int) -> None:
 
 @partial(_sweep, only=lambda c: c.word[:1] == (0,))  # trees with a leading white vertex
 def check_deshuffle_correspondence(c: Rct, m: int) -> None:
-    """Single sub-tree extraction at a leading white vertex is the deshuffle."""
+    """Single sub-tree extraction at a leading white vertex is the deshuffle:
+    the kernel's one-block families holding position 1, whose quotient word
+    starts with the block's label n, pair with deshuffle_coproduct(tail, n)."""
+    pairs = {n: LinComb() for n in range(1, m + 1)}
+    for family, labels, qword in labelled_extractions(c.word, (1 << len(c.word)) - 1, m):
+        if len(family) == 1 and family[0] & 1:
+            n = labels[0]
+            pairs[n].add_term(((Rct(c.root, qword[1:]),), (block_tree(c.word, family[0], n),)), 1)
     tail = Rct(c.root, c.word[1:])
-    for n in range(1, m + 1):
-        pairs = LinComb()
-        for subset in admissible_subsets(c):
-            if subset[0] != 1:
-                continue
-            left = delete_positions(c, subset)
-            right = restrict(c, subset, n, m)
-            pairs.add_term(((left,), (right,)), 1)
-        expected = coordmaps.deshuffle_coproduct(tail, n)
-        assert pairs == expected, f"deshuffle correspondence fails on {c}, n={n}"
+    for n, got in pairs.items():
+        assert got == coordmaps.deshuffle_coproduct(tail, n), \
+            f"deshuffle correspondence fails on {c}, n={n}"
 
 
 # ---------------------------------------------------------------------------

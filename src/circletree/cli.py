@@ -3,10 +3,10 @@
 A malformed argument or file exits with code 2: `_parsed` maps a parser's
 ValueError there.  A request the library refuses (shape or alphabet
 mismatch, insufficient truncation) raises ValueError, and `main` maps it
-to code 3.  `--maxlen` truncates series files of both formats.  A reader
-that closes stdout early (`| head`) ends the run quietly with code 1.  All
-output is canonically sorted, so identical invocations produce identical
-bytes.
+to code 3.  `_load_series` holds the one `--maxlen` and stdin rule of the
+series inputs.  A reader that closes stdout early (`| head`) ends the run
+quietly with code 1.  All output is canonically sorted, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -42,16 +42,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", PARSE_ERROR) from exc
-
-
 def _parsed(parse, *args):
     """parse(*args), its ValueError a parse error (code 2) with the same message."""
     try:
@@ -60,20 +50,40 @@ def _parsed(parse, *args):
         raise CliError(str(exc), PARSE_ERROR) from exc
 
 
-def _load_series(path: str, args, max_len: int | None) -> Series:
-    """The series of a file read at max_len (None: the length it holds)."""
-    text = _read_text(path)
-    try:
-        if args.format == "text":
-            return series_mod.parse_series(text, ell=args.ell, m=args.m, max_len=max_len)
-        series = series_mod.loads_json(text)
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"cannot parse series {path}: {exc}", PARSE_ERROR) from exc
-    length = series.max_len if max_len is None else max_len
-    if not 0 <= length <= series.max_len:
-        raise ValueError(f"--maxlen {max_len} is outside 0..{series.max_len}, "
-                         f"the word lengths {path} is known to")
-    return series.truncated(length)
+def _load_series(args) -> list[Series]:
+    """The series of the input files, each read at its natural length and cut
+    to --maxlen.  A text file holds the whole polynomial, so it may also be
+    padded; a JSON document past its max_len is refused (code 3).  A negative
+    --maxlen and a second '-' are parse errors before any file is read."""
+    if args.maxlen is not None and args.maxlen < 0:
+        raise CliError(f"--maxlen {args.maxlen} is below 0, the shortest word length",
+                       PARSE_ERROR)
+    if args.inputs.count("-") > 1:
+        raise CliError("'-' names stdin twice, but stdin can be read only once", PARSE_ERROR)
+    out = []
+    for path in args.inputs:
+        try:
+            if path == "-":
+                text = sys.stdin.read()
+            else:
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc}", PARSE_ERROR) from exc
+        try:
+            if args.format == "text":
+                series = series_mod.parse_series(text, ell=args.ell, m=args.m)
+            else:
+                series = series_mod.loads_json(text)
+        except (ValueError, KeyError) as exc:
+            raise CliError(f"cannot parse series {path}: {exc}", PARSE_ERROR) from exc
+        if args.maxlen is not None:
+            if args.format == "json" and args.maxlen > series.max_len:
+                raise ValueError(f"--maxlen {args.maxlen} is outside 0..{series.max_len}, "
+                                 f"the word lengths {path} is known to")
+            series = series.truncated(args.maxlen)
+        out.append(series)
+    return out
 
 
 def _emit_series(result: Series, args) -> None:
@@ -103,7 +113,8 @@ def _add_series_io(parser, two_inputs=True):
     parser.add_argument("--ell", type=int, default=None)
     parser.add_argument("--m", type=int, default=None)
     parser.add_argument("--maxlen", type=int, default=None,
-                        help="word-length truncation (invert: length of the inverse)")
+                        help="cut every input at this word length "
+                             "(invert: the length of the inverse)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,22 +258,15 @@ def _run(args) -> int:
         return 0
 
     if args.command in PRODUCTS:
-        a = _load_series(args.inputs[0], args, args.maxlen)
-        b = _load_series(args.inputs[1], args, args.maxlen)
-        _emit_series(PRODUCTS[args.command][0](a, b), args)
+        _emit_series(PRODUCTS[args.command][0](*_load_series(args)), args)
         return 0
 
     if args.command == "invert":
-        # the file's terms fix the polynomial: read it at its natural length
-        a = _load_series(args.inputs[0], args, None)
-        if args.maxlen is not None and args.maxlen > a.max_len:
-            a = series_mod.from_nums(a.ell, a.m, args.maxlen, a.nums, a.den)
-        _emit_series(groupops.group_inverse(a, args.maxlen), args)
+        _emit_series(groupops.group_inverse(*_load_series(args)), args)
         return 0
 
     if args.command == "convolve":
-        a = _load_series(args.inputs[0], args, args.maxlen)
-        b = _load_series(args.inputs[1], args, args.maxlen)
+        a, b = _load_series(args)
         cmap = _parsed(coordmaps.parse_coord_map, args.coordmap)
         print(format_rational(
             groupops.convolve(groupops.Character(a), groupops.Character(b), cmap)))
@@ -276,17 +280,12 @@ def _run(args) -> int:
                            PARSE_ERROR)
         from . import numeric  # numpy loads only for the numeric commands
 
-        grid_sizes = [args.N // 8, args.N // 4, args.N // 2, args.N]
-        fns = numeric.standard_inputs()
+        records = numeric.run_standard_checks(args.N, args.T, kind=args.kind)
         print("kind,case,N,deviation")
-        worst = 0.0
-        for case, (kind, c, d) in enumerate(numeric.standard_corpus()):
-            if kind != args.kind:
-                continue
-            for n_size, dev in numeric.convergence_table(kind, c, d, fns, args.T, grid_sizes):
-                print(f"{kind},{case},{n_size},{dev:.6e}")
-                if n_size == args.N:
-                    worst = max(worst, dev)
+        for rec in records:
+            for n_size, dev in rec.deviations:
+                print(f"{rec.kind},{rec.case},{n_size},{dev:.6e}")
+        worst = max(rec.final_deviation for rec in records)
         print(f"max deviation at N={args.N}: {worst:.6e}")
         return 0
 

@@ -5,10 +5,11 @@ tuple is the algebra unit.  The coproduct sums quotient (x) extracted
 sub-trees over admissible extractions, with every extraction label
 expanded concretely over 1..m.  It is the coordinate-map coproduct, so
 `coproduct` and `reduced_coproduct` are `coordmaps.full_delta` and
-`coordmaps.reduced_delta`, read from the prepend recursion as they are;
+`coordmaps.reduced_delta`, read from the prepend recursion as they are.
 `extraction_coproduct`, the definition term by term, is the reference
-they are checked against.  The antipode comes
-three ways:
+they are checked against: it reads each labelled family and its quotient
+word from the extraction kernel `trees.labelled_extractions`, as the
+forest formula does.  The antipode comes three ways:
 
 * right recursion, S(c) = -c - sum q S(r_1)...S(r_n), the default: it is
   the closed forest formula in factored form (Menous-Patras), so it never
@@ -25,15 +26,15 @@ so both recursions read the combined terms `coordmaps.reduced_terms`
 with no relabelling, and the memoized ones fill and read the one
 `coordmaps._antipode` table, keyed by (generator, m, side); only the
 formatter (`1:0.0` here, `a[1;0.0]` there) tells the sides apart.  Pass
-memoize=False to force the raw expansion, e.g. to time it.  `antipode_stats`
-counts the raw terms of either recursion from the combined terms
-k l (x) r_1...r_n: g(a) = 1 + sum k g(l) on the left, and on the right
-M(a) = 1 + sum k M(r_1)...M(r_n), the number of forest terms.
+memoize=False to `antipode_recursive` to force the raw expansion, e.g. to
+time it.  `antipode_stats` counts the raw terms of either recursion from
+the combined terms k l (x) r_1...r_n: g(a) = 1 + sum k g(l) on the left,
+and on the right M(a) = 1 + sum k M(r_1)...M(r_n), the number of forest
+terms.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import prod
 from typing import Iterator, NamedTuple
 
@@ -41,8 +42,8 @@ from . import coordmaps, lincomb
 from .coordmaps import reduced_terms
 from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, memo,
                       mono_mul, mono_sort_key)
-from .trees import (Rct, Word, bit_indices, degree, enumerate_admissible_extractions, format_rct,
-                    labelled_extractions, mono_degree, quotient, restrict)
+from .trees import (Rct, Word, bit_indices, block_tree, degree, format_rct, labelled_extractions,
+                    mono_degree)
 
 Monomial = tuple[Rct, ...]
 
@@ -59,16 +60,17 @@ def tensor_mul(s: LinComb, t: LinComb) -> LinComb:
 
 def extraction_coproduct(c: Rct, m: int) -> LinComb:
     """The coproduct by its definition: quotient (x) extracted sub-trees, one
-    term per admissible extraction and labelling of its blocks, plus both
-    primitive terms.  It enumerates every labelled family, so it is the
+    term per labelled admissible family of the kernel, the empty family giving
+    c (x) 1, plus 1 (x) c.  It enumerates every labelled family, so it is the
     reference `coproduct` is checked against, not a route of the algebra."""
-    out = LinComb({((c,), UNIT): 1, (UNIT, (c,)): 1})
-    for extraction in enumerate_admissible_extractions(c):
-        subsets = extraction.subsets
-        for labels in product(range(1, m + 1), repeat=len(subsets)):
-            rest = tuple(sorted(restrict(c, s, n, m) for s, n in zip(subsets, labels)))
-            out.add_term(((quotient(c, subsets, labels, m),), rest), 1)
-    return out
+    word = c.word
+    out = {(UNIT, (c,)): 1}
+    get = out.get
+    for family, labels, qword in labelled_extractions(word, (1 << len(word)) - 1, m):
+        key = ((Rct(c.root, qword),),
+               tuple(sorted(block_tree(word, block, n) for block, n in zip(family, labels))))
+        out[key] = get(key, 0) + 1
+    return LinComb(out)
 
 
 # the tree coproduct is the coordinate-map one: one definition of each
@@ -150,10 +152,10 @@ def antipode_forest(c: Rct, m: int) -> LinComb:
     return LinComb({key: k for key, k in acc.items() if k})
 
 
-def antipode(c: Rct, m: int, method: str = "right", memoize: bool = True) -> LinComb:
+def antipode(c: Rct, m: int, method: str = "right") -> LinComb:
     if method == "forest":
         return antipode_forest(c, m)
-    return antipode_recursive(c, m, method, memoize)
+    return antipode_recursive(c, m, method)
 
 
 # ---------------------------------------------------------------------------

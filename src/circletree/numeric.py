@@ -164,13 +164,15 @@ class CheckRecord(NamedTuple):
         return [devs[i] / devs[i + 1] for i in range(len(devs) - 1)]
 
 
-def run_standard_checks(N: int = 2000, T: float = 1.0,
-                        refinements: int = 3) -> list[CheckRecord]:
-    """Deviation-vs-grid records for the fixed corpus; N is the finest grid."""
+def run_standard_checks(N: int = 2000, T: float = 1.0, refinements: int = 3,
+                        kind: str | None = None) -> list[CheckRecord]:
+    """Deviation-vs-grid records for the fixed corpus, or for its cases of one
+    kind; N is the finest grid."""
     grid_sizes = [N // (2 ** k) for k in range(refinements, -1, -1)]
     fns = standard_inputs()
     out = []
-    for case, (kind, c, d) in enumerate(standard_corpus()):
-        table = convergence_table(kind, c, d, fns, T, grid_sizes)
-        out.append(CheckRecord(kind, case, tuple(table)))
+    for case, (case_kind, c, d) in enumerate(standard_corpus()):
+        if kind in (None, case_kind):
+            table = convergence_table(case_kind, c, d, fns, T, grid_sizes)
+            out.append(CheckRecord(case_kind, case, tuple(table)))
     return out

@@ -10,8 +10,10 @@ white.  Extraction families come in two flavours:
 * general extractions: pairwise distinct minima, every pair of subsets
   either disjoint or strictly nested.
 
-Both enumerations include the empty family; the "total" extraction (the
-whole tree, root included) exists only as a marker for the coproduct.
+The general listing starts with the empty family.  The admissible one is
+read from the extraction kernel below and puts the empty family first and
+the "total" extraction (the whole tree, root included, a marker for the
+coproduct) last only on request.
 """
 
 from __future__ import annotations
@@ -108,22 +110,13 @@ def iter_general_families(c: Rct) -> Iterator[tuple[Subset, ...]]:
     yield from rec(0, (), (), 0)
 
 
-def iter_admissible_families(c: Rct) -> Iterator[tuple[Subset, ...]]:
-    """Nonempty families of pairwise disjoint admissible subsets, in
-    lexicographic order."""
-    extractions = labelled_extractions(c.word, (1 << len(c.word)) - 1, 1)
-    yield from sorted(tuple(tuple(i + 1 for i in bit_indices(block)) for block in fam)
-                      for fam, _labels, _qword in extractions[1:])
-
-
 def enumerate_admissible_extractions(c: Rct, include_trivial: bool = False) -> list[Extraction]:
-    out: list[Extraction] = []
-    if include_trivial:
-        out.append(EMPTY_EXTRACTION)
-    out.extend(Extraction("proper", fam) for fam in iter_admissible_families(c))
-    if include_trivial:
-        out.append(TOTAL_EXTRACTION)
-    return out
+    """Admissible families in lexicographic order, read from the kernel at m=1."""
+    extractions = labelled_extractions(c.word, (1 << len(c.word)) - 1, 1)
+    out = [Extraction("proper", fam) for fam in sorted(
+        tuple(tuple(i + 1 for i in bit_indices(block)) for block in fam)
+        for fam, _labels, _qword in extractions[1:])]
+    return [EMPTY_EXTRACTION, *out, TOTAL_EXTRACTION] if include_trivial else out
 
 
 def enumerate_all_extractions(c: Rct) -> list[Extraction]:
@@ -134,13 +127,12 @@ def enumerate_all_extractions(c: Rct) -> list[Extraction]:
 
 
 # ---------------------------------------------------------------------------
-# bitmask extraction kernel of the family listings and the forest formula;
-# the coproduct and the raw left-recursion count are read from the
-# coordinate-map recursion and never enumerate families.
-#
-# Position p is bit p-1 of a mask.  Families built here are admissible and
-# pairwise disjoint by construction, so quotients are assembled directly,
-# without the checks of the public `quotient`/`restrict`.
+# bitmask extraction kernel, the one walk over admissible families: the
+# listing above, the extraction-sum coproduct, the deshuffle check and the
+# forest formula read it; the algebra's coproduct and raw counts enumerate no
+# family.  Position p is bit p-1 of a mask.  Families built here are
+# admissible and disjoint by construction, so quotients and sub-trees are
+# assembled without the checks of `quotient`/`restrict`, their test reference.
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -166,6 +158,12 @@ def labelled_extractions(word: Word, mask: int, m: int) -> list[tuple]:
                       for fam, labels, qword in out for label in range(1, m + 1)]
         out = grown
     return out
+
+
+def block_tree(word: Word, block: int, label: int) -> Rct:
+    """The sub-tree a kernel block extracts: its minimum becomes the root
+    `label`, its other positions keep their letters."""
+    return Rct(label, tuple(word[i] for i in bit_indices(block & (block - 1))))
 
 
 def _check_positions(c: Rct, subset: Subset) -> None:
@@ -215,13 +213,6 @@ def restrict(c: Rct, subset: Subset, label: int, m: int) -> Rct:
     if not 1 <= label <= m:
         raise ValueError(f"label {label} outside 1..{m}")
     return Rct(label, tuple(c.word[p - 1] for p in subset[1:]))
-
-
-def delete_positions(c: Rct, positions) -> Rct:
-    """Drop the given internal positions outright (no relabelling)."""
-    gone = set(positions)
-    return Rct(c.root, tuple(
-        letter for pos, letter in enumerate(c.word, start=1) if pos not in gone))
 
 
 class ForestNode(NamedTuple):

@@ -216,7 +216,7 @@ def test_maxlen_truncates_json_input(tmp_path, capsys, product):
 
 def test_maxlen_above_a_json_document_is_refused(tmp_path, capsys):
     a, b = _json_pair(tmp_path)
-    for argv in (("group", a, b), ("convolve", a, b, "--coordmap", "a[1;1]")):
+    for argv in (("group", a, b), ("convolve", a, b, "--coordmap", "a[1;1]"), ("invert", a)):
         code, out, err = run_cli(capsys, *argv, "--format", "json", "--maxlen", "4")
         assert (code, out) == (3, ""), argv
         assert err == f"error: --maxlen 4 is outside 0..3, the word lengths {a} is known to\n"
@@ -240,8 +240,8 @@ def test_invert_command(tmp_path, capsys):
     assert code == 0
     assert "1 1 -1" in out.splitlines()
     code, out, err = run_cli(capsys, "invert", str(a), "--maxlen", "-1")
-    assert (code, out) == (3, "")
-    assert "negative length" in err
+    assert (code, out) == (2, "")
+    assert err == "error: --maxlen -1 is below 0, the shortest word length\n"
 
 
 def test_convolve_command(tmp_path, capsys):

@@ -25,6 +25,8 @@ FILES = {
     "B.series": "1 2 1\n2 1 -1/2\n",  # ell = m = 2
     "bad.series": "1 0 1/2 extra\n",
     "bad.json": '{"ell": 1',
+    "A.json": '{"ell": 1, "m": 1, "max_len": 1, "terms": '
+              '[{"channel": 1, "word": "1", "coeff": "2"}]}',  # known to length 1
 }
 
 TWO_SERIES = ["A.series", "A.series"]
@@ -43,6 +45,7 @@ CASES = {
     "coproduct-reduced": ["coproduct", "--rct", "1:0.0", "--m", "1", "--reduced"],
     "coproduct-linearized": ["coproduct", "--rct", "1:0.0", "--m", "1", "--linearized"],
     "prelie": ["prelie", "--left", "1:0.2", "--right", "2:1", "--m", "2"],
+    "compose-text-cut-at-maxlen": ["compose", *TWO_SERIES, "--maxlen", "1"],  # cuts word 0.1
     # exit 2: a malformed argument or file
     "shuffle-bad-word": ["shuffle", "0.x", "1", "--m", "1"],
     "shuffle-letter-above-m": ["shuffle", "0.1", "3", "--m", "2"],
@@ -55,6 +58,11 @@ CASES = {
     "compose-unparsable-text": ["compose", "bad.series", "A.series"],
     "compose-unparsable-json": ["compose", "bad.json", "bad.json", "--format", "json"],
     "compose-missing-file": ["compose", "missing.series", "A.series"],
+    "compose-stdin-twice": ["compose", "-", "-"],
+    "compose-negative-maxlen": ["compose", *TWO_SERIES, "--maxlen", "-1"],
+    "convolve-negative-maxlen-json": ["convolve", "A.json", "A.json", "--format", "json",
+                                      "--maxlen", "-1", "--coordmap", "a[1;1]"],
+    "invert-negative-maxlen": ["invert", "A.series", "--maxlen", "-1"],
     "convolve-malformed-coordmap": ["convolve", *TWO_SERIES, "--coordmap", "b[1;0]"],
     "convolve-coordmap-channel-not-int": ["convolve", *TWO_SERIES, "--coordmap", "a[x;1]"],
     "convolve-coordmap-channel-zero": ["convolve", *TWO_SERIES, "--coordmap", "a[0;1]"],
@@ -66,7 +74,7 @@ CASES = {
     # exit 3: a request the library refuses
     **{f"{product}-shape-mismatch": [product, "A.series", "B.series"]
        for product in ("compose", "modcompose", "hatcompose", "group")},
-    "invert-negative-maxlen": ["invert", "A.series", "--maxlen", "-1"],
+    "invert-json-past-its-maxlen": ["invert", "A.json", "--format", "json", "--maxlen", "3"],
     "convolve-above-alphabet": ["convolve", *TWO_SERIES, "--coordmap", "a[1;5]"],
     "convolve-past-truncation": ["convolve", *TWO_SERIES, "--coordmap", "a[1;0.1.1]"],
 }

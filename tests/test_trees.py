@@ -6,6 +6,8 @@ from circletree.trees import (
     EMPTY_EXTRACTION,
     Rct,
     admissible_subsets,
+    bit_indices,
+    block_tree,
     build_nesting_forest,
     degree,
     enumerate_admissible_extractions,
@@ -13,6 +15,7 @@ from circletree.trees import (
     format_rct,
     iter_general_families,
     iter_rcts,
+    labelled_extractions,
     parse_rct,
     parse_subset,
     proper_extraction,
@@ -153,6 +156,18 @@ def test_quotient_validation():
         quotient(Rct(1, (0,)), [(1,)], [3], 2)  # label out of range
     with pytest.raises(ValueError):
         restrict(Rct(1, (1, 0)), (1,), 1, 2)  # minimum not white
+
+
+def test_kernel_quotients_and_sub_trees_are_the_public_operations():
+    """The kernel assembles quotients and sub-trees without checks; the
+    validated `quotient` and `restrict` are their reference."""
+    for m in (1, 2):
+        for c in iter_rcts(8, m):
+            for family, labels, qword in labelled_extractions(c.word, (1 << len(c.word)) - 1, m):
+                subsets = [tuple(i + 1 for i in bit_indices(block)) for block in family]
+                assert Rct(c.root, qword) == quotient(c, subsets, labels, m), (c, subsets, labels)
+                for block, subset, label in zip(family, subsets, labels):
+                    assert block_tree(c.word, block, label) == restrict(c, subset, label, m)
 
 
 def test_degree_and_weight_bookkeeping():
