@@ -3,10 +3,10 @@
 A malformed argument or file exits with code 2: `_parsed` maps a parser's
 ValueError there.  A request the library refuses (shape or alphabet
 mismatch, insufficient truncation) raises ValueError, and `main` maps it
-to code 3.  `_load_series` holds the one `--maxlen` and stdin rule of the
-series inputs.  A reader that closes stdout early (`| head`) ends the run
-quietly with code 1.  All output is canonically sorted, so identical
-invocations produce identical bytes.
+to code 3.  `_load_series` holds the one `--maxlen`, `--ell`/`--m` and
+stdin rule of the series inputs.  A reader that closes stdout early
+(`| head`) ends the run quietly with code 1.  All output is canonically
+sorted, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ def _parsed(parse, *args):
 def _load_series(args) -> list[Series]:
     """The series of the input files, each read at its natural length and cut
     to --maxlen.  A text file holds the whole polynomial, so it may also be
-    padded; a JSON document past its max_len is refused (code 3).  A negative
-    --maxlen and a second '-' are parse errors before any file is read."""
+    padded; a JSON document past its max_len, or whose ell or m differs from
+    --ell or --m, is refused (code 3).  A negative --maxlen and a second '-'
+    are parse errors before any file is read."""
     if args.maxlen is not None and args.maxlen < 0:
         raise CliError(f"--maxlen {args.maxlen} is below 0, the shortest word length",
                        PARSE_ERROR)
@@ -68,7 +69,7 @@ def _load_series(args) -> list[Series]:
             else:
                 with open(path, encoding="utf-8") as handle:
                     text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read {path}: {exc}", PARSE_ERROR) from exc
         try:
             if args.format == "text":
@@ -77,6 +78,11 @@ def _load_series(args) -> list[Series]:
                 series = series_mod.loads_json(text)
         except (ValueError, KeyError) as exc:
             raise CliError(f"cannot parse series {path}: {exc}", PARSE_ERROR) from exc
+        if args.format == "json":
+            for flag, value, known in (("--ell", args.ell, series.ell), ("--m", args.m, series.m)):
+                if value is not None and value != known:
+                    raise ValueError(f"{flag} {value} differs from {path}, "
+                                     f"whose document has {flag[2:]} {known}")
         if args.maxlen is not None:
             if args.format == "json" and args.maxlen > series.max_len:
                 raise ValueError(f"--maxlen {args.maxlen} is outside 0..{series.max_len}, "

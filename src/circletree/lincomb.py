@@ -176,4 +176,8 @@ def format_rational(value) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """The rational `text` spells; ValueError, not ZeroDivisionError, on `1/0`."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None

@@ -7,6 +7,7 @@ appear; without -s they show up in captured output on failure.
 import time
 from fractions import Fraction
 
+import suites
 from oracles import closed_form_antipodes
 
 from circletree import checks, coordmaps, hopf
@@ -117,33 +118,33 @@ def test_criterion_07_group_worked_example():
 
 
 def test_criterion_08_group_properties_randomized():
-    trials = checks.check_group_axioms(trials=20, m=2, max_len=4)
+    trials = suites.check_group_axioms(trials=20, m=2, max_len=4)
     report(8, "associativity and two-sided inverses, 20 random triples", trials == 20)
 
 
 def test_criterion_09_modified_composition_identities():
-    trials = checks.check_mod_compose_identities(trials=50)
+    trials = suites.check_mod_compose_identities(trials=50)
     report(9, "modified-composition prepend and nesting identities, 50 trials",
            trials == 50)
 
 
 def test_criterion_10_prelie_suite():
-    n_pre = checks.check_prelie_identity(4, 2, random_trials=100)
-    n_jac = checks.check_jacobi(4, 2, random_trials=100)
-    checks.check_duality(6, 2)
+    n_pre = suites.check_prelie_identity(4, 2, random_trials=100)
+    n_jac = suites.check_jacobi(4, 2, random_trials=100)
+    suites.check_duality(6, 2)
     n_co = checks.check_copre_lie(7, 1) + checks.check_copre_lie(7, 2)
     report(10, "pre-Lie identity, Jacobi, pairing duality, co-pre-Lie relation", True,
            f"{n_pre} + {n_jac} triples, co-pre-Lie on {n_co} generators")
 
 
 def test_criterion_11_convolution_matches_group_product():
-    trials = checks.check_convolution(trials=20, word_bound=3)
+    trials = suites.check_convolution(trials=20, word_bound=3)
     report(11, "character convolution equals group-product coefficients", trials == 20)
 
 
 def test_criterion_12_numeric_identities():
     start = time.perf_counter()
-    records = checks.check_numeric(N=2000, tol=1e-6, ratio_lo=3.2, ratio_hi=4.8)
+    records = suites.check_numeric(N=2000, tol=1e-6, ratio_lo=3.2, ratio_hi=4.8)
     elapsed = time.perf_counter() - start
     worst = max(rec.final_deviation for rec in records)
     report(12, "numeric shuffle/cascade/group identities at N=2000",

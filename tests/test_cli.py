@@ -222,6 +222,19 @@ def test_maxlen_above_a_json_document_is_refused(tmp_path, capsys):
         assert err == f"error: --maxlen 4 is outside 0..3, the word lengths {a} is known to\n"
 
 
+def test_ell_or_m_other_than_a_json_document_is_refused(tmp_path, capsys):
+    """--ell and --m shape a text file; a JSON document states its own shape,
+    so a flag that differs from it is refused and an equal one passes."""
+    a, b = _json_pair(tmp_path)
+    _, full, _ = run_cli(capsys, "group", a, b, "--format", "json")
+    for flag, value, name in (("--ell", "7", "ell"), ("--m", "5", "m")):
+        code, out, err = run_cli(capsys, "group", a, b, "--format", "json", flag, value)
+        assert (code, out) == (3, ""), flag
+        assert err == f"error: {flag} {value} differs from {a}, whose document has {name} 2\n"
+    code, out, err = run_cli(capsys, "group", a, b, "--format", "json", "--ell", "2", "--m", "2")
+    assert (code, out, err) == (0, full, "")
+
+
 def test_convolve_past_the_json_maxlen_is_refused(tmp_path, capsys):
     a, b = _json_pair(tmp_path)
     argv = ("convolve", a, b, "--format", "json", "--coordmap", "a[2;1.2.1]")

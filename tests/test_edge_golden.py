@@ -27,6 +27,10 @@ FILES = {
     "bad.json": '{"ell": 1',
     "A.json": '{"ell": 1, "m": 1, "max_len": 1, "terms": '
               '[{"channel": 1, "word": "1", "coeff": "2"}]}',  # known to length 1
+    "zero-den.series": "1 e 1/0\n",
+    "zero-den.json": '{"ell": 1, "m": 1, "max_len": 0, "terms": '
+                     '[{"channel": 1, "word": "e", "coeff": "3/0"}]}',
+    "latin1.series": b"1 e 1\xff\n",  # not UTF-8
 }
 
 TWO_SERIES = ["A.series", "A.series"]
@@ -63,6 +67,9 @@ CASES = {
     "convolve-negative-maxlen-json": ["convolve", "A.json", "A.json", "--format", "json",
                                       "--maxlen", "-1", "--coordmap", "a[1;1]"],
     "invert-negative-maxlen": ["invert", "A.series", "--maxlen", "-1"],
+    "invert-zero-denominator-text": ["invert", "zero-den.series"],
+    "invert-zero-denominator-json": ["invert", "zero-den.json", "--format", "json"],
+    "invert-not-utf8": ["invert", "latin1.series"],
     "convolve-malformed-coordmap": ["convolve", *TWO_SERIES, "--coordmap", "b[1;0]"],
     "convolve-coordmap-channel-not-int": ["convolve", *TWO_SERIES, "--coordmap", "a[x;1]"],
     "convolve-coordmap-channel-zero": ["convolve", *TWO_SERIES, "--coordmap", "a[0;1]"],
@@ -75,14 +82,15 @@ CASES = {
     **{f"{product}-shape-mismatch": [product, "A.series", "B.series"]
        for product in ("compose", "modcompose", "hatcompose", "group")},
     "invert-json-past-its-maxlen": ["invert", "A.json", "--format", "json", "--maxlen", "3"],
+    "group-json-other-m": ["group", "A.json", "A.json", "--format", "json", "--m", "5"],
     "convolve-above-alphabet": ["convolve", *TWO_SERIES, "--coordmap", "a[1;5]"],
     "convolve-past-truncation": ["convolve", *TWO_SERIES, "--coordmap", "a[1;0.1.1]"],
 }
 
 
 def run_case(case: str, directory: Path, capsys, monkeypatch) -> dict:
-    for name, text in FILES.items():
-        (directory / name).write_text(text)
+    for name, content in FILES.items():
+        (directory / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     monkeypatch.chdir(directory)
     code = main(CASES[case])
     captured = capsys.readouterr()

@@ -4,7 +4,6 @@ from itertools import product as iter_product
 
 import pytest
 
-from circletree import checks
 from circletree.coordmaps import CoordMap, reduced_delta
 from circletree.groupops import (
     Character,
@@ -18,6 +17,7 @@ from circletree.groupops import (
 )
 from circletree.lincomb import LinComb
 from circletree.series import Series, add, zero_series
+import suites
 from oracles import channel_poly, shuffle_polys
 
 
@@ -26,7 +26,7 @@ def series(coeffs, ell=1, m=2, max_len=4):
 
 
 def rand_series(rng, ell, m, max_len, word_len=2):
-    return checks.random_series(rng, ell, m, max_len, word_len)
+    return suites.random_series(rng, ell, m, max_len, word_len)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_mod_compose_with_zero_is_identity():
 
 
 def test_mod_compose_prepend_identity():
-    assert checks.check_mod_compose_identities(trials=15) == 15
+    assert suites.check_mod_compose_identities(trials=15) == 15
 
 
 def test_mod_compose_differs_from_shifted_cascade():
@@ -154,7 +154,7 @@ def test_group_identity_element():
 
 
 def test_group_axioms_randomized():
-    assert checks.check_group_axioms(trials=8) == 8
+    assert suites.check_group_axioms(trials=8) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def test_convolve_rejects_letters_above_the_alphabet():
 
 
 def test_convolve_matches_group_product():
-    assert checks.check_convolution(trials=6) == 6
+    assert suites.check_convolution(trials=6) == 6
 
 
 def test_convolution_inverse_is_neutral():

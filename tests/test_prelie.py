@@ -4,6 +4,7 @@ from circletree import checks
 from circletree.lincomb import LinComb
 from circletree.prelie import lie_bracket, prelie_combs, prelie_product
 from circletree.trees import Rct, iter_rcts
+import suites
 
 
 def test_empty_word_inserts_to_zero():
@@ -60,11 +61,11 @@ def test_jacobi_randomized():
 
 
 def test_prelie_identity_small():
-    assert checks.check_prelie_identity(3, 2, random_trials=25) > 0
+    assert suites.check_prelie_identity(3, 2, random_trials=25) > 0
 
 
 def test_duality_small():
-    assert checks.check_duality(5, 2) == 98
+    assert suites.check_duality(5, 2) == 98
 
 
 def test_copre_lie_small():

@@ -59,12 +59,12 @@ def test_left_concat_examples():
 def test_shuffle_commutative_associative_on_series():
     import random
 
-    from circletree import checks
+    import suites
     rng = random.Random(23)
     for _ in range(10):
-        a = checks.random_series(rng, 1, 2, 6, word_len=3, terms=3)
-        b = checks.random_series(rng, 1, 2, 6, word_len=3, terms=3)
-        c = checks.random_series(rng, 1, 2, 6, word_len=3, terms=3)
+        a = suites.random_series(rng, 1, 2, 6, word_len=3, terms=3)
+        b = suites.random_series(rng, 1, 2, 6, word_len=3, terms=3)
+        c = suites.random_series(rng, 1, 2, 6, word_len=3, terms=3)
         assert shuffle_product(a, b).coeffs == shuffle_product(b, a).coeffs
         left = shuffle_product(shuffle_product(a, b), c)
         right = shuffle_product(a, shuffle_product(b, c))
@@ -148,6 +148,15 @@ def test_text_rejects_malformed():
         parse_series("1 0.1")
     with pytest.raises(ValueError):
         parse_series("1 0.9 1", m=2)
+
+
+def test_a_zero_denominator_is_a_value_error_naming_the_text():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_series("1 e 1/0")
+    doc = ('{"ell": 1, "m": 1, "max_len": 0, '
+           '"terms": [{"channel": 1, "word": "e", "coeff": "3/0"}]}')
+    with pytest.raises(ValueError, match="zero denominator in '3/0'"):
+        loads_json(doc)
 
 
 def test_json_roundtrip():
