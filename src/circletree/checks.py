@@ -16,19 +16,22 @@ from functools import partial
 
 from . import coordmaps, hopf
 from .lincomb import LinComb
-from .trees import Rct, block_tree, degree, iter_rcts, labelled_extractions
+from .trees import Rct, block_tree, degree, gen, iter_rcts, labelled_extractions
 
 
-def _sweep(check, only=None):
+def _sweep(check, only=None, table=False):
     """check(c, m) -> check(max_degree, m) -> int: run it on every generator
     of degree <= max_degree that `only` accepts (all, if None) and return
-    how many it ran on."""
+    how many it ran on.  With `table`, the check is check(c, m, table) and
+    gets one dict that lives for the sweep, to keep per-monomial values
+    that many generators read."""
 
     def sweep(max_degree: int, m: int) -> int:
+        extra = ({},) if table else ()
         count = 0
         for c in iter_rcts(max_degree, m):
             if only is None or only(c):
-                check(c, m)
+                check(c, m, *extra)
                 count += 1
         return count
 
@@ -41,15 +44,23 @@ def _sweep(check, only=None):
 # Hopf axioms on the tree side
 
 
-@_sweep
-def check_coassociativity(c: Rct, m: int) -> None:
+def _once(table: dict, fn, mono: tuple, m: int) -> LinComb:
+    """fn(mono, m), computed on the first read of `mono` from `table`."""
+    value = table.get(mono)
+    if value is None:
+        value = table[mono] = fn(mono, m)
+    return value
+
+
+@partial(_sweep, table=True)
+def check_coassociativity(c: Rct, m: int, coproducts: dict) -> None:
     delta = hopf.coproduct(c, m)
     lhs = LinComb()
     rhs = LinComb()
     for (left, right), coeff in delta.items():
-        for (a, b), k in hopf.coproduct_monomial(left, m).items():
+        for (a, b), k in _once(coproducts, hopf.coproduct_monomial, left, m).items():
             lhs.add_term((a, b, right), coeff * k)
-        for (a, b), k in hopf.coproduct_monomial(right, m).items():
+        for (a, b), k in _once(coproducts, hopf.coproduct_monomial, right, m).items():
             rhs.add_term((left, a, b), coeff * k)
     assert lhs == rhs, f"coassociativity fails on {c}"
 
@@ -77,17 +88,19 @@ def check_grading(c: Rct, m: int) -> None:
         assert split == d, f"grading fails on {c}: {left}|{right}"
 
 
-@_sweep
-def check_antipode_convolution(c: Rct, m: int) -> None:
+def _antipode_monomial(mono: tuple, m: int) -> LinComb:
+    return hopf.antipode_poly(LinComb.single(mono, 1), m)
+
+
+@partial(_sweep, table=True)
+def check_antipode_convolution(c: Rct, m: int, antipodes: dict) -> None:
     delta = hopf.coproduct(c, m)
     left_conv = LinComb()
     right_conv = LinComb()
     for (left, right), coeff in delta.items():
-        s_left = hopf.antipode_poly(LinComb.single(left, 1), m)
-        for mono, k in s_left.items():
+        for mono, k in _once(antipodes, _antipode_monomial, left, m).items():
             left_conv.add_term(hopf.mono_mul(mono, right), coeff * k)
-        s_right = hopf.antipode_poly(LinComb.single(right, 1), m)
-        for mono, k in s_right.items():
+        for mono, k in _once(antipodes, _antipode_monomial, right, m).items():
             right_conv.add_term(hopf.mono_mul(left, mono), coeff * k)
     assert not left_conv, f"S*id fails on {c}: {left_conv}"
     assert not right_conv, f"id*S fails on {c}: {right_conv}"
@@ -182,8 +195,8 @@ def check_deshuffle_correspondence(c: Rct, m: int) -> None:
     for family, labels, qword in labelled_extractions(c.word, (1 << len(c.word)) - 1, m):
         if len(family) == 1 and family[0] & 1:
             n = labels[0]
-            pairs[n].add_term(((Rct(c.root, qword[1:]),), (block_tree(c.word, family[0], n),)), 1)
-    tail = Rct(c.root, c.word[1:])
+            pairs[n].add_term(((gen(c.root, qword[1:]),), (block_tree(c.word, family[0], n),)), 1)
+    tail = gen(c.root, c.word[1:])
     for n, got in pairs.items():
         assert got == coordmaps.deshuffle_coproduct(tail, n), \
             f"deshuffle correspondence fails on {c}, n={n}"

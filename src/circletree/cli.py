@@ -19,13 +19,13 @@ from . import coordmaps, groupops, hopf, prelie, series as series_mod
 from .lincomb import format_rational
 from .series import Series
 from .trees import (
-    Rct,
     admissible_subsets,
     degree,
     enumerate_admissible_extractions,
     enumerate_all_extractions,
     format_rct,
     format_subset,
+    gen,
     parse_rct,
     weight,
 )
@@ -253,7 +253,7 @@ def _run(args) -> int:
                            "table", PARSE_ERROR)
         print("degree,distinct_terms")
         for k in range(1, (args.max_degree - 1) // 2 + 1):
-            print(f"{2 * k + 1},{len(hopf.antipode(Rct(1, (0,) * k), 1))}")
+            print(f"{2 * k + 1},{len(hopf.antipode(gen(1, (0,) * k), 1))}")
         return 0
 
     if args.command == "prelie":

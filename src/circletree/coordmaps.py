@@ -16,6 +16,12 @@ references they are checked against.
 
 Tensor values share the monomial-pair convention of `hopf`: keys are
 (left monomial, right monomial) with single-map monomials of length 1.
+
+The memo tables here follow the interning rule of `lincomb`: every map
+they hold comes from `trees.gen`, and the monomials they keep (the right
+legs of `_tilde_items`, the keys of `_antipode` entries) from
+`lincomb.intern`, so each value is one shared object however many entries
+hold it.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from __future__ import annotations
 from collections import Counter
 
 from . import lincomb
-from .lincomb import LinComb, format_monomial, memo
-from .trees import Rct, degree, mono_degree  # one grading for both spellings
+from .lincomb import LinComb, format_monomial, intern, memo
+from .trees import Rct, degree, gen, mono_degree  # one grading for both spellings
 from .words import Word, format_word, parse_word
 
 CoordMap = Rct
@@ -44,7 +50,7 @@ def _deshuffle_splits(word: Word) -> dict[tuple[Word, Word], int]:
 
 def deshuffle_coproduct(a: CoordMap, j: int) -> LinComb:
     """Split a's word into ordered subword pairs; the right legs live on channel j."""
-    return LinComb({((CoordMap(a.channel, u),), (CoordMap(j, v),)): k
+    return LinComb({((gen(a.channel, u),), (gen(j, v),)): k
                     for (u, v), k in _deshuffle_splits(a.word).items()})
 
 
@@ -55,10 +61,10 @@ def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[CoordMap, CMon
     coefficient cancels, so the terms keep the order they are first met in,
     and the left-primitive term (a, (), 1), met first, stays first."""
     if not word:
-        return ((CoordMap(channel, ()), UNIT, 1),)
+        return ((gen(channel, ()), UNIT, 1),)
     head, tail = word[0], word[1:]
     # prepending any letter acts on the left leg, which stays on `channel`
-    acc = {(CoordMap(channel, (head,) + left.word), right): coeff
+    acc = {(gen(channel, (head,) + left.word), right): coeff
            for left, right, coeff in _tilde_items(channel, tail, m)}
     get = acc.get
     if head == 0:
@@ -66,11 +72,11 @@ def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[CoordMap, CMon
         splits = _deshuffle_splits(tail).items()
         for n in range(1, m + 1):
             for (u, v), dcoeff in splits:
-                vn = (CoordMap(n, v),)
+                vn = (gen(n, v),)
                 for left, right, coeff in _tilde_items(channel, u, m):
-                    key = (CoordMap(channel, (n,) + left.word), tuple(sorted(right + vn)))
+                    key = (gen(channel, (n,) + left.word), tuple(sorted(right + vn)))
                     acc[key] = get(key, 0) + coeff * dcoeff
-    return tuple((left, right, coeff) for (left, right), coeff in acc.items())
+    return tuple((left, intern(right), coeff) for (left, right), coeff in acc.items())
 
 
 def tilde_terms(a: CoordMap, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
@@ -110,13 +116,14 @@ def reduced_terms(a: CoordMap, m: int) -> tuple[tuple[CoordMap, CMono, int], ...
 @memo
 def _antipode(a: CoordMap, m: int, side: str) -> LinComb:
     """The one antipode table of the package: trees and coordinate maps
-    are one generator type, so `hopf` reads the same entries."""
-    return lincomb.antipode_step(a, reduced_terms(a, m), side,
-                                 lambda x: _antipode(x, m, side))
+    are one generator type, so `hopf` reads the same entries.  `a` is
+    shared (from `gen`), and each stored monomial is interned once here."""
+    step = lincomb.antipode_step(a, reduced_terms(a, m), side, lambda x: _antipode(x, m, side))
+    return LinComb({intern(mono): k for mono, k in step.items()})
 
 
 def antipode(a: CoordMap, m: int, side: str = "right") -> LinComb:
-    return LinComb(_antipode(a, m, side))
+    return LinComb(_antipode(gen(*a), m, side))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +163,7 @@ def parse_coord_map(text: str, m: int | None = None) -> CoordMap:
         raise ValueError(f"channel {channel} must be >= 1")
     if m is not None and not 1 <= channel <= m:
         raise ValueError(f"channel {channel} outside 1..{m}")
-    return CoordMap(channel, parse_word(word_text, m))
+    return gen(channel, parse_word(word_text, m))
 
 
 def format_cmono(mono: CMono) -> str:

@@ -41,9 +41,9 @@ from typing import Iterator, NamedTuple
 from . import coordmaps, lincomb
 from .coordmaps import reduced_terms
 from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, memo,
-                      mono_mul, mono_sort_key)
-from .trees import (Rct, Word, bit_indices, block_tree, degree, format_rct, labelled_extractions,
-                    mono_degree)
+                      mono_mul, mono_sort_key, nonzero)
+from .trees import (Rct, Word, bit_indices, block_tree, degree, format_rct, gen,
+                    labelled_extractions, mono_degree)
 
 Monomial = tuple[Rct, ...]
 
@@ -51,11 +51,13 @@ UNIT: Monomial = ()
 
 
 def tensor_mul(s: LinComb, t: LinComb) -> LinComb:
-    out = LinComb()
+    out: dict = {}
+    get = out.get
     for (la, ra), ka in s.items():
         for (lb, rb), kb in t.items():
-            out.add_term((mono_mul(la, lb), mono_mul(ra, rb)), ka * kb)
-    return out
+            key = (tuple(sorted(la + lb)), tuple(sorted(ra + rb)))
+            out[key] = get(key, 0) + ka * kb
+    return nonzero(out)
 
 
 def extraction_coproduct(c: Rct, m: int) -> LinComb:
@@ -67,7 +69,7 @@ def extraction_coproduct(c: Rct, m: int) -> LinComb:
     out = {(UNIT, (c,)): 1}
     get = out.get
     for family, labels, qword in labelled_extractions(word, (1 << len(word)) - 1, m):
-        key = ((Rct(c.root, qword),),
+        key = ((gen(c.root, qword),),
                tuple(sorted(block_tree(word, block, n) for block, n in zip(family, labels))))
         out[key] = get(key, 0) + 1
     return LinComb(out)
@@ -123,7 +125,7 @@ def _forest_terms(word: Word, mask: int, root: int, m: int, seen: dict) -> Itera
     if extractions is None:
         extractions = seen[mask] = labelled_extractions(word, mask, m)
     for family, labels, qword in extractions:
-        terms = [(family, (Rct(root, qword),))]
+        terms = [(family, (gen(root, qword),))]
         for block, label in zip(family, labels):
             inner = seen.get((block, label))
             if inner is None:
@@ -137,8 +139,12 @@ def _forest_terms(word: Word, mask: int, root: int, m: int, seen: dict) -> Itera
 def forest_signed_terms(c: Rct, m: int) -> Iterator[tuple[tuple, Monomial, int]]:
     """Signed monomials of the closed antipode formula, one per (general
     extraction, labelling); the extraction lists its subsets lexicographically."""
+    subset_of: dict = {}  # block mask -> its positions, converted once per call
     for blocks, factors in _forest_terms(c.word, (1 << len(c.word)) - 1, c.root, m, {}):
-        subsets = sorted(tuple(i + 1 for i in bit_indices(block)) for block in blocks)
+        for block in blocks:
+            if block not in subset_of:
+                subset_of[block] = tuple(i + 1 for i in bit_indices(block))
+        subsets = sorted(subset_of[block] for block in blocks)
         yield tuple(subsets), tuple(sorted(factors)), 1 if len(blocks) % 2 else -1
 
 

@@ -12,10 +12,20 @@ the hot loops of both antipodes, add each term into a plain dict under
 its sorted monomial and drop the zeros once, on return.  Every memo
 table of the package is made by `memo`, which registers it so that
 `clear_caches` empties them all.
+
+Interning rule: a memo table stores one shared object per value.  Every
+generator the package builds comes from `trees.gen`, and a monomial that a
+table keeps (a right leg of the coproduct terms, a key of an antipode
+entry) passes once through `intern`; a monomial generated and combined
+within one call is not interned, so the unmemoized route does no interning
+work.  Equal values stay equal whatever object holds them, so a caller's
+own generator works as before; shared ones let comparisons and lookups
+take the identity shortcut and keep the tables small.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -34,6 +44,13 @@ def clear_caches() -> None:
     """Empty every memo table of the package, e.g. to time a cold run."""
     for cached in _MEMO_TABLES:
         cached.cache_clear()
+
+
+@memo
+def intern(value):
+    """The one shared object equal to `value`: the first one met since the
+    tables were last cleared."""
+    return value
 
 
 class LinComb(dict):
@@ -96,6 +113,12 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
+def nonzero(acc: dict) -> LinComb:
+    """A plain-dict accumulator as a LinComb, its zeros dropped; most
+    accumulators cancel nothing and are copied without a filter pass."""
+    return LinComb({key: k for key, k in acc.items() if k} if 0 in acc.values() else acc)
+
+
 def poly_mul(p: dict, q: dict) -> LinComb:
     out: dict = {}
     get = out.get
@@ -103,7 +126,7 @@ def poly_mul(p: dict, q: dict) -> LinComb:
         for mb, kb in q.items():
             key = tuple(sorted(ma + mb))
             out[key] = get(key, 0) + ka * kb
-    return LinComb({key: k for key, k in out.items() if k} if 0 in out.values() else out)
+    return nonzero(out)
 
 
 def counit(p: LinComb):
@@ -137,17 +160,18 @@ def antipode_step(x, reduced_terms, side: str, antipode_of) -> LinComb:
             for mono, k in prod.items():
                 key = tuple(sorted((left,) + mono))
                 acc[key] = get(key, 0) - coeff * k
-    # most steps are tiny and cancel nothing: copy those without a filter pass
-    return LinComb({key: k for key, k in acc.items() if k} if 0 in acc.values() else acc)
+    return nonzero(acc)
 
 
 def antipode_poly(p: LinComb, antipode_of) -> LinComb:
     """Antipode extended multiplicatively to monomials, linearly to polynomials;
     `antipode_of` gives the antipode of one generator."""
-    out = LinComb()
+    out: dict = {}
+    get = out.get
     for mono, coeff in p.items():
-        out.add_comb(reduce(poly_mul, map(antipode_of, mono), {(): 1}), coeff)
-    return out
+        for key, k in reduce(poly_mul, map(antipode_of, mono), {(): 1}).items():
+            out[key] = get(key, 0) + coeff * k
+    return nonzero(out)
 
 
 def format_monomial(mono: tuple, format_factor) -> str:
@@ -176,8 +200,15 @@ def format_rational(value) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """The rational `text` spells; ValueError, not ZeroDivisionError, on `1/0`."""
+    """The rational `text` spells; ValueError, not ZeroDivisionError, on `1/0`,
+    and on an exponent above `sys.get_int_max_str_digits()` in magnitude, whose
+    value could not be printed, before any digit of it is built."""
+    text = text.strip()
+    limit = sys.get_int_max_str_digits()
+    digits = text.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    if limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise ValueError(f"exponent of {text!r} exceeds {limit} in magnitude")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in {text!r}") from None

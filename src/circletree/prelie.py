@@ -11,7 +11,7 @@ single-subset part of the coproduct.
 from __future__ import annotations
 
 from .lincomb import LinComb, memo
-from .trees import Rct
+from .trees import Rct, gen
 from .words import shuffle
 
 
@@ -24,7 +24,7 @@ def _prelie_items(c: Rct, d: Rct) -> tuple[tuple[Rct, int], ...]:
             continue
         prefix = word[:idx] + (0,)
         for tail, mult in shuffle(word[idx + 1:], d.word).items():
-            out.add_term(Rct(c.root, prefix + tail), mult)
+            out.add_term(gen(c.root, prefix + tail), mult)
     return tuple(out.items())
 
 

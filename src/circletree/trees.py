@@ -14,12 +14,17 @@ The general listing starts with the empty family.  The admissible one is
 read from the extraction kernel below and puts the empty family first and
 the "total" extraction (the whole tree, root included, a marker for the
 coproduct) last only on request.
+
+Every generator the package builds comes from `gen`, a memo table that
+hands out one shared `Rct` per value (the interning rule of `lincomb`); an
+`Rct(...)` a caller builds is equal to it and works everywhere.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
+from .lincomb import memo
 from .words import Word, format_word, parse_word, word_degree
 
 Subset = tuple[int, ...]
@@ -35,6 +40,12 @@ class Rct(NamedTuple):
 
 
 Rct.channel = Rct.root  # the same read-only field getter under its coordinate-map name
+
+
+@memo
+def gen(root: int, word: Word) -> Rct:
+    """The one shared generator root:word (its word too is the first one met)."""
+    return Rct(root, word)
 
 
 class Extraction(NamedTuple):
@@ -163,7 +174,7 @@ def labelled_extractions(word: Word, mask: int, m: int) -> list[tuple]:
 def block_tree(word: Word, block: int, label: int) -> Rct:
     """The sub-tree a kernel block extracts: its minimum becomes the root
     `label`, its other positions keep their letters."""
-    return Rct(label, tuple(word[i] for i in bit_indices(block & (block - 1))))
+    return gen(label, tuple(word[i] for i in bit_indices(block & (block - 1))))
 
 
 def _check_positions(c: Rct, subset: Subset) -> None:
@@ -203,7 +214,7 @@ def quotient(c: Rct, subsets, labels, m: int) -> Rct:
         if pos in drop:
             continue
         word.append(relabel.get(pos, c.word[pos - 1]))
-    return Rct(c.root, tuple(word))
+    return gen(c.root, tuple(word))
 
 
 def restrict(c: Rct, subset: Subset, label: int, m: int) -> Rct:
@@ -212,7 +223,7 @@ def restrict(c: Rct, subset: Subset, label: int, m: int) -> Rct:
     _check_positions(c, subset)
     if not 1 <= label <= m:
         raise ValueError(f"label {label} outside 1..{m}")
-    return Rct(label, tuple(c.word[p - 1] for p in subset[1:]))
+    return gen(label, tuple(c.word[p - 1] for p in subset[1:]))
 
 
 class ForestNode(NamedTuple):
@@ -273,7 +284,7 @@ def iter_rcts(max_degree: int, m: int) -> Iterator[Rct]:
     """All generators (single trees) of degree at most max_degree."""
     for word in iter_words(max_degree - 1, m):
         for root in range(1, m + 1):
-            yield Rct(root, word)
+            yield gen(root, word)
 
 
 def format_rct(c: Rct) -> str:
@@ -293,7 +304,7 @@ def parse_rct(text: str, m: int | None = None) -> Rct:
         raise ValueError(f"root label {root} must be >= 1")
     if m is not None and not 1 <= root <= m:
         raise ValueError(f"root label {root} outside 1..{m}")
-    return Rct(root, parse_word(word_text, m))
+    return gen(root, parse_word(word_text, m))
 
 
 def format_subset(subset: Subset) -> str:

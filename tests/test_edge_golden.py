@@ -31,6 +31,9 @@ FILES = {
     "zero-den.json": '{"ell": 1, "m": 1, "max_len": 0, "terms": '
                      '[{"channel": 1, "word": "e", "coeff": "3/0"}]}',
     "latin1.series": b"1 e 1\xff\n",  # not UTF-8
+    "huge-exp.series": "1 e 1e5000\n",  # 10^5000 has more digits than str() may print
+    "huge-exp.json": '{"ell": 1, "m": 1, "max_len": 0, "terms": '
+                     '[{"channel": 1, "word": "e", "coeff": "1e5000"}]}',
 }
 
 TWO_SERIES = ["A.series", "A.series"]
@@ -70,6 +73,8 @@ CASES = {
     "invert-zero-denominator-text": ["invert", "zero-den.series"],
     "invert-zero-denominator-json": ["invert", "zero-den.json", "--format", "json"],
     "invert-not-utf8": ["invert", "latin1.series"],
+    "invert-huge-exponent-text": ["invert", "huge-exp.series"],
+    "invert-huge-exponent-json": ["invert", "huge-exp.json", "--format", "json"],
     "convolve-malformed-coordmap": ["convolve", *TWO_SERIES, "--coordmap", "b[1;0]"],
     "convolve-coordmap-channel-not-int": ["convolve", *TWO_SERIES, "--coordmap", "a[x;1]"],
     "convolve-coordmap-channel-zero": ["convolve", *TWO_SERIES, "--coordmap", "a[0;1]"],

@@ -21,7 +21,7 @@ from circletree.hopf import (
 )
 from circletree.lincomb import LinComb
 from circletree.prelie import prelie_product
-from circletree.trees import Rct, iter_general_families, iter_rcts, labelled_extractions
+from circletree.trees import Rct, iter_general_families, iter_rcts, labelled_extractions, parse_rct
 from circletree.words import shuffle
 
 
@@ -290,19 +290,47 @@ def test_clear_caches_empties_every_memo_table():
     antipode_stats(c, 2)
     shuffle((0, 1), (2,))
     prelie_product(c, Rct(1, (2,)))
-    caches = []
+    found = {}  # a table imported by several modules is one table
     for info in pkgutil.iter_modules(circletree.__path__):
         module = importlib.import_module(f"circletree.{info.name}")
-        caches += [obj for obj in vars(module).values()
-                   if callable(getattr(obj, "cache_info", None))]
+        found.update((id(obj), obj) for obj in vars(module).values()
+                     if callable(getattr(obj, "cache_info", None)))
+    caches = list(found.values())
     # the module scan and the registry find the same tables; trees and
     # coordinate maps share one antipode table
     assert sorted(map(id, caches)) == sorted(map(id, lincomb._MEMO_TABLES))
     assert [cache for cache in caches if "antipode" in cache.__name__] == [coordmaps._antipode]
-    assert len(caches) == 5
+    assert len(caches) == 7
     assert all(cache.cache_info().currsize for cache in caches)
     hopf.clear_caches()
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+
+
+def _assert_one_object_per_value(c: Rct) -> list:
+    """Run the three antipode routes on `c`; every factor of a returned
+    monomial or tilde term, and every monomial the memo tables keep, is one
+    object per value."""
+    results = [hopf.antipode(c, 2), coordmaps.antipode(c, 2, "left"), antipode_forest(c, 2)]
+    factors = [factor for poly in results for mono in poly for factor in mono]
+    stored = [mono for poly in results[:2] for mono in poly]
+    for left, right, _coeff in coordmaps.tilde_terms(c, 2):
+        factors += [left, *right]
+        stored.append(right)
+    assert len(set(factors)) == len(set(map(id, factors))) < len(factors)
+    assert len(set(stored)) == len(set(map(id, stored))) < len(stored)
+    return results
+
+
+def test_generators_and_stored_monomials_are_shared():
+    hopf.clear_caches()
+    c = parse_rct("2:0.1.0.0", 2)
+    assert hopf.degree(c) == 8
+    shared = _assert_one_object_per_value(c)
+    assert shared[0] == shared[1] == shared[2]
+    # a generator the caller builds gives equal results, interned the same way
+    hopf.clear_caches()
+    assert _assert_one_object_per_value(Rct(2, (0, 1, 0, 0))) == shared
+    assert _assert_one_object_per_value(c) == shared  # and on a warm table
 
 
 def test_one_memo_entry_serves_trees_and_coordinate_maps():

@@ -1,8 +1,11 @@
 import pickle
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from circletree.lincomb import parse_rational
 from circletree.series import (
     Series,
     add,
@@ -157,6 +160,23 @@ def test_a_zero_denominator_is_a_value_error_naming_the_text():
            '"terms": [{"channel": 1, "word": "e", "coeff": "3/0"}]}')
     with pytest.raises(ValueError, match="zero denominator in '3/0'"):
         loads_json(doc)
+
+
+def test_an_exponent_past_the_digit_limit_is_refused_before_parsing():
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e5000", "1E-5000", "2.5e+0_0005_000", "1e4000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent of .* exceeds"):
+            parse_rational(text)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exponent of '1e4000000' exceeds {limit} in magnitude"):
+        parse_series("1 e 1e4000000")
+    assert time.perf_counter() - start < 0.5
+    assert parse_rational("1e-3") == Fraction(1, 1000)
+    assert parse_rational("2.5E2") == 250
+    assert parse_rational(f"1e{limit}") == 10 ** limit  # the limit itself still parses
+    with pytest.raises(ValueError, match="exponent of .* exceeds"):
+        loads_json('{"ell": 1, "m": 1, "max_len": 0, '
+                   '"terms": [{"channel": 1, "word": "e", "coeff": "1e5000"}]}')
 
 
 def test_json_roundtrip():
