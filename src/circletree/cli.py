@@ -275,7 +275,8 @@ def _run(args) -> int:
         a, b = _load_series(args)
         cmap = _parsed(coordmaps.parse_coord_map, args.coordmap)
         print(format_rational(
-            groupops.convolve(groupops.Character(a), groupops.Character(b), cmap)))
+            groupops.convolve(groupops.Character(a), groupops.Character(b), cmap),
+            f"the convolution at {coordmaps.format_coord_map(cmap)}"))
         return 0
 
     if args.command == "numcheck":

@@ -10,16 +10,20 @@ Four products, all exact and all closed under length truncation:
 The cascade homomorphism treats the integrator channel of the right
 factor as the constant 1; the modified one treats it as 0.  Every product
 reads and writes the int numerators over one denominator that `Series`
-stores.  Each channel of the left factor is folded in one Horner pass
-over the prefixes of its words, longest first, so a prefix that several
-words share is stepped once; the partial image under a prefix is cut at
-the length the prefix leaves, and the result is put in canonical form
-once, with no Fraction built.  Group inversion solves the fixed point
-d = mod_compose(-c, d) one length per round, each round a product at
-its own length; antipode evaluation, the paper's route, is kept as the
-reference `antipode_inverse`.  Convolution reads the memoized
-feedback-coproduct terms of `coordmaps` directly and sums numerators,
-one per right-leg length, so a Fraction is built only for its value.
+stores, in one pass that ends in one canonical form.  Each channel of
+the left factor is folded in one Horner pass over the prefixes of its
+words, longest first, so a prefix that several words share is stepped
+once; the partial image under a prefix is cut at the length the prefix
+leaves, and each shuffle adds its integrator-prefixed words straight
+into the parent prefix's image.  hat_compose and group_product fold the
+right factor's numerators into those totals, so the sum d + product is
+put in canonical form once, with no Fraction built.  Group inversion
+solves the fixed point d = mod_compose(-c, d) one length per round, each
+round a product at its own length; antipode evaluation, the paper's
+route, is kept as the reference `antipode_inverse`.  Convolution reads
+the memoized feedback-coproduct terms of `coordmaps` directly and sums
+their numerators over one common denominator, so it builds one
+Fraction, its value.
 Characters return Fractions: they are the edge where a caller reads one
 coefficient.
 """
@@ -28,12 +32,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import NamedTuple
 
 from .coordmaps import CoordMap, antipode, format_coord_map, tilde_terms
 from .lincomb import as_fraction
-from .series import Series, add, channel_nums, from_nums, zero_series
-from .words import by_length, shuffle_ints
+from .series import Series, _require_same_shape, channel_nums, from_nums, zero_series
+from .words import by_length, shuffle_into
 
 
 def _require_composable(c: Series, d: Series) -> None:
@@ -87,15 +92,17 @@ def _channel_image(words: dict, d_ints: dict, den: int, length: int,
                     out[key] = get(key, 0) + den * k
             d_a = d_ints.get(letter)  # the integrator letter has no channel: no key 0
             if d_a:
-                for w, k in shuffle_ints(acc, d_a, cap).items():
-                    key = (0,) + w
-                    out[key] = get(key, 0) + k
+                shuffle_into(out, acc, d_a, cap, (0,))
     return levels[0].get((), {})
 
 
-def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None) -> Series:
+def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None,
+                  plus_right: bool = False) -> Series:
+    """The (modified) cascade product, plus d itself if plus_right."""
     _require_composable(c, d)
     length = _target_length(max_len, min(c.max_len, d.max_len), "compose")
+    if plus_right:
+        _require_same_shape(d, c)  # refused before any work, as `add` words it
     d = d.truncated(length)  # its least denominator keeps the folded ints small
     den = d.den
     d_ints = {ch: by_length(p) for ch, p in channel_nums(d).items()}
@@ -104,7 +111,18 @@ def _compose_impl(c: Series, d: Series, modified: bool, max_len: int | None) -> 
     totals = {(ch, w): k
               for ch, words in channel_nums(c).items()
               for w, k in _channel_image(words, d_ints, den, length, modified).items()}
-    return from_nums(c.ell, c.m, length, totals, c.den * den ** length)
+    total_den = c.den * den ** length
+    if plus_right:
+        # d + product over one denominator: den divides total_den unless
+        # length is 0, where total_den is c.den
+        common = lcm(total_den, den)
+        if common != total_den:
+            totals = {key: k * (common // total_den) for key, k in totals.items()}
+        get, scale = totals.get, common // den
+        for key, n in d.nums.items():
+            totals[key] = get(key, 0) + scale * n
+        total_den = common
+    return from_nums(c.ell, c.m, length, totals, total_den)
 
 
 def compose(c: Series, d: Series, max_len: int | None = None) -> Series:
@@ -123,16 +141,14 @@ def mod_compose(c: Series, d: Series, max_len: int | None = None) -> Series:
 
 def hat_compose(c: Series, d: Series, max_len: int | None = None) -> Series:
     """(identity + left) driven by the right factor: d + compose(c, d)."""
-    composed = compose(c, d, max_len)
-    return add(d, composed)
+    return _compose_impl(c, d, modified=False, max_len=max_len, plus_right=True)
 
 
 def group_product(c: Series, d: Series, max_len: int | None = None) -> Series:
     """Series part of the feedback-group product: d + mod_compose(c, d)."""
     if c.ell != c.m:
         raise ValueError("group elements must be square (ell == m)")
-    modified = mod_compose(c, d, max_len)
-    return add(d, modified)
+    return _compose_impl(c, d, modified=True, max_len=max_len, plus_right=True)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +250,10 @@ def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:
         if value:
             totals[len(right)] = totals.get(len(right), 0) + coeff * value
     phi_den, psi_den = phi.series.den, psi.series.den
-    total = sum(Fraction(n, phi_den * psi_den ** k) for k, n in totals.items())
+    top = max(totals, default=0) + 1  # every term over phi_den * psi_den**top
     # the right-primitive term 1 (x) a of the full coproduct comes last, so a
     # word past psi's truncation is reported where the tilde terms meet it
-    return total + Fraction(_numerator(psi.series, a), psi_den)
+    total = _numerator(psi.series, a) * phi_den * psi_den ** (top - 1)
+    for k, n in totals.items():
+        total += n * psi_den ** (top - k)
+    return Fraction(total, phi_den * psi_den ** top)

@@ -191,12 +191,23 @@ def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def format_rational(value) -> str:
-    """`-3/2` style; integers print without a denominator."""
+def digit_limit_error(what: str) -> ValueError:
+    """The error for `what`, a rational with more digits than
+    `sys.get_int_max_str_digits()` lets `str` print."""
+    return ValueError(f"{what} exceeds the limit ({sys.get_int_max_str_digits()} digits) "
+                      "for integer string conversion")
+
+
+def format_rational(value, what: str = "a value") -> str:
+    """`-3/2` style; integers print without a denominator.  A numerator or
+    denominator past the digit limit raises `digit_limit_error(what)`."""
     frac = as_fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    try:
+        if frac.denominator == 1:
+            return str(frac.numerator)
+        return f"{frac.numerator}/{frac.denominator}"
+    except ValueError:
+        raise digit_limit_error(what) from None
 
 
 def parse_rational(text: str) -> Fraction:

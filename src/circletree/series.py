@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .lincomb import as_fraction, parse_rational
+from .lincomb import as_fraction, digit_limit_error, parse_rational
 from .words import Word, by_length, format_word, parse_word, shuffle_ints
 
 
@@ -198,11 +198,17 @@ def _term_order(item) -> tuple:
 
 def _terms(a: Series):
     """(channel, word text, coefficient text) of each term, ordered by channel,
-    word length and word; the coefficient prints as `format_rational` would."""
+    word length and word; the coefficient prints as `format_rational` would,
+    and one past the digit limit raises ValueError naming its channel and word."""
     den = a.den
     for (channel, word), n in sorted(a.nums.items(), key=_term_order):
         g = gcd(n, den)
-        yield channel, format_word(word), str(n // g) if g == den else f"{n // g}/{den // g}"
+        try:
+            coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
+        except ValueError:
+            raise digit_limit_error(
+                f"the coefficient of channel {channel}, word {format_word(word)}") from None
+        yield channel, format_word(word), coeff
 
 
 def format_series(a: Series) -> str:

@@ -42,29 +42,38 @@ def shuffle(u: Word, v: Word) -> LinComb:
 
 
 def by_length(p: dict) -> dict:
-    """p with its words in order of length, the order `shuffle_ints` reads its
+    """p with its words in order of length, the order `shuffle_into` reads its
     right factor in."""
     return dict(sorted(p.items(), key=lambda item: len(item[0])))
 
 
-def shuffle_ints(p: dict, q: dict, max_len: int | None = None) -> dict:
-    """Bilinear shuffle of two int-coefficient word dicts, zeros dropped: the kernel.
+def shuffle_into(out: dict, p: dict, q: dict, cap, prefix: Word = ()) -> None:
+    """Add prefix + w for every term w of the shuffle of p and q no longer than
+    `cap` straight into the caller's dict `out`: the kernel.
 
-    q must list its words in order of length (see `by_length`), so that the
-    words too long for a word of p end each pass; callers order a factor
-    once and shuffle many left factors against it."""
-    out: dict = {}
+    p and q are int-coefficient word dicts; q must list its words in order of
+    length (see `by_length`), so that the words too long for a word of p end
+    each pass; callers order a factor once and shuffle many left factors
+    against it.  Entries that cancel stay in `out` as zeros."""
     get = out.get
-    limit = float("inf") if max_len is None else max_len
     q_items = q.items()
     for u, a in p.items():
-        room = limit - len(u)
+        room = cap - len(u)
         for v, b in q_items:
             if len(v) > room:
                 break
             ab = a * b
             for word, mult in _shuffle_items(u, v):
-                out[word] = get(word, 0) + ab * mult
+                key = prefix + word
+                out[key] = get(key, 0) + ab * mult
+
+
+def shuffle_ints(p: dict, q: dict, max_len: int | None = None) -> dict:
+    """Bilinear shuffle of two int-coefficient word dicts, no word longer than
+    max_len, zeros dropped: `shuffle_into` on a fresh dict.  q lists its words
+    in order of length, as `shuffle_into` reads them."""
+    out: dict = {}
+    shuffle_into(out, p, q, float("inf") if max_len is None else max_len)
     return {word: coeff for word, coeff in out.items() if coeff}
 
 

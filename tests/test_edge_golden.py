@@ -34,6 +34,9 @@ FILES = {
     "huge-exp.series": "1 e 1e5000\n",  # 10^5000 has more digits than str() may print
     "huge-exp.json": '{"ell": 1, "m": 1, "max_len": 0, "terms": '
                      '[{"channel": 1, "word": "e", "coeff": "1e5000"}]}',
+    "past-limit.series": "1 e 1e4300\n",  # parses; its inverse has one digit too many
+    "row.series": "1 1 1\n",  # ell = 1; m = 2 under --m 2
+    "square.series": "1 e 1\n2 2 1\n",  # ell = m = 2
 }
 
 TWO_SERIES = ["A.series", "A.series"]
@@ -86,6 +89,8 @@ CASES = {
     # exit 3: a request the library refuses
     **{f"{product}-shape-mismatch": [product, "A.series", "B.series"]
        for product in ("compose", "modcompose", "hatcompose", "group")},
+    "hatcompose-ell-mismatch": ["hatcompose", "row.series", "square.series", "--m", "2"],
+    "invert-result-past-digit-limit": ["invert", "past-limit.series", "--maxlen", "0"],
     "invert-json-past-its-maxlen": ["invert", "A.json", "--format", "json", "--maxlen", "3"],
     "group-json-other-m": ["group", "A.json", "A.json", "--format", "json", "--m", "5"],
     "convolve-above-alphabet": ["convolve", *TWO_SERIES, "--coordmap", "a[1;5]"],

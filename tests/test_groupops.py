@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -137,6 +138,15 @@ def test_hat_compose_examples():
     assert got.coeffs == add(d, compose(c, d)).coeffs
 
 
+def test_hat_compose_refuses_a_left_factor_of_other_outputs():
+    """d + compose(c, d) adds two series of c's and d's shapes, so their output
+    counts must agree; the refusal comes before any work."""
+    c = Series(1, 2, 2, {(1, (1,)): 1})
+    d = Series(2, 2, 2, {(1, ()): 1, (2, (2,)): 1})
+    with pytest.raises(ValueError, match=re.escape("series shape mismatch: (2,2) vs (1,2)")):
+        hat_compose(c, d)
+
+
 def test_group_product_worked_example():
     c = Series(2, 2, 4, {(1, (2,)): 1})
     d = Series(2, 2, 4, {(2, (1,)): 1})
@@ -253,10 +263,16 @@ def test_products_refuse_a_length_beyond_their_factors():
 def test_products_refuse_a_negative_length():
     c = Series(1, 1, 2, {(1, ()): 1, (1, (1,)): 1})
     d = Series(1, 1, 2, {(1, ()): 1})
-    for product in (compose, mod_compose, hat_compose, group_product):
-        with pytest.raises(ValueError, match="negative length -1"):
-            product(c, d, -1)
-        assert product(c, d, 0) == product(c, d).truncated(0)
+    # coprime denominators: at length 0 the right factor's does not divide the left's
+    thirds = Series(1, 1, 2, {(1, ()): Fraction(1, 3), (1, (1,)): 1})
+    halves = Series(1, 1, 2, {(1, ()): Fraction(1, 2), (1, (0,)): Fraction(1, 2)})
+    for c, d in ((c, d), (thirds, halves)):
+        for product in (compose, mod_compose, hat_compose, group_product):
+            with pytest.raises(ValueError, match="negative length -1"):
+                product(c, d, -1)
+            assert product(c, d, 0) == product(c, d).truncated(0)
+        assert hat_compose(c, d, 0) == add(d, compose(c, d, 0))
+        assert group_product(c, d, 0) == add(d, mod_compose(c, d, 0))
 
 
 # ---------------------------------------------------------------------------

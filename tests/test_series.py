@@ -1,11 +1,12 @@
 import pickle
+import re
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from circletree.lincomb import parse_rational
+from circletree.lincomb import format_rational, parse_rational
 from circletree.series import (
     Series,
     add,
@@ -177,6 +178,19 @@ def test_an_exponent_past_the_digit_limit_is_refused_before_parsing():
     with pytest.raises(ValueError, match="exponent of .* exceeds"):
         loads_json('{"ell": 1, "m": 1, "max_len": 0, '
                    '"terms": [{"channel": 1, "word": "e", "coeff": "1e5000"}]}')
+
+
+def test_a_coefficient_past_the_digit_limit_names_its_place():
+    limit = sys.get_int_max_str_digits()
+    big = Series(2, 1, 1, {(1, ()): 1, (2, (0,)): Fraction(10 ** limit, 3)})
+    message = (f"the coefficient of channel 2, word 0 exceeds the limit ({limit} digits) "
+               "for integer string conversion")
+    for write in (format_series, dumps_json):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write(big)
+    with pytest.raises(ValueError, match=re.escape(f"a[1;e] exceeds the limit ({limit} digits)")):
+        format_rational(-10 ** limit, "a[1;e]")
+    assert format_rational(Fraction(10 ** limit - 1, 7)) == f"{10 ** limit - 1}/7"
 
 
 def test_json_roundtrip():
