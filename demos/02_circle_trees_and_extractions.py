@@ -8,6 +8,7 @@ closed antipode formula), drive the whole Hopf structure.
 """
 
 from circletree.trees import (
+    Extraction,
     Rct,
     admissible_subsets,
     build_nesting_forest,
@@ -16,7 +17,6 @@ from circletree.trees import (
     enumerate_all_extractions,
     format_rct,
     format_subset,
-    proper_extraction,
     quotient,
     restrict,
     weight,
@@ -39,7 +39,7 @@ print("  restriction:", format_rct(restrict(c, (2, 3), 2, 2)))
 white3 = Rct(1, (0, 0, 0))
 families = enumerate_all_extractions(white3)
 print(f"\nall-white three-vertex tree has {len(families)} general extraction families")
-nested = proper_extraction([(1, 3), (2,), (3,)])
+nested = Extraction(((1, 3), (2,), (3,)))
 forest = build_nesting_forest(white3, nested)
 
 

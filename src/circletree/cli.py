@@ -98,9 +98,7 @@ def _emit_series(result: Series, args) -> None:
 
 
 def _extraction_line(extraction) -> str:
-    if extraction.kind in ("empty", "total"):
-        return extraction.kind
-    return " ".join(format_subset(s) for s in extraction.subsets)
+    return " ".join(format_subset(s) for s in extraction.subsets) or "empty"
 
 
 # the two-series products: command -> (library function, help text)
@@ -153,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list the empty and total extractions too")
 
     p = sub.add_parser("coproduct", help="coproduct of a tree", parents=[tree])
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--linearized", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--reduced", action="store_true")
+    group.add_argument("--linearized", action="store_true")
 
     p = sub.add_parser("antipode", help="antipode of a tree", parents=[tree])
     p.add_argument("--method", choices=("left", "right", "forest"), default="right",
@@ -218,12 +217,13 @@ def _run(args) -> int:
         return 0
 
     if args.command == "extractions":
-        if args.all:
-            items = enumerate_all_extractions(c)
-        else:
-            items = enumerate_admissible_extractions(c, include_trivial=args.include_trivial)
+        items = enumerate_all_extractions(c) if args.all else enumerate_admissible_extractions(c)
+        if args.include_trivial:  # the empty family first, the whole tree last
+            print("empty")
         for extraction in items:
             print(_extraction_line(extraction))
+        if args.include_trivial:
+            print("total")
         return 0
 
     if args.command == "coproduct":

@@ -22,10 +22,11 @@ solves the fixed point d = mod_compose(-c, d) one length per round, each
 round a product at its own length; antipode evaluation, the paper's
 route, is kept as the reference `antipode_inverse`.  Convolution reads
 the memoized feedback-coproduct terms of `coordmaps` directly and sums
-their numerators over one common denominator, so it builds one
-Fraction, its value.
-Characters return Fractions: they are the edge where a caller reads one
-coefficient.
+their numerators in one pass over one denominator, phi's times psi's to
+the power one more than the map's integrator letters, so it builds one
+Fraction, its value.  Characters read numerators too: a monomial's value
+is the product of its factors' numerators over the matching power of the
+denominator, one Fraction, the edge where a caller reads one coefficient.
 """
 
 from __future__ import annotations
@@ -166,6 +167,17 @@ def _numerator(s: Series, a: CoordMap) -> int:
     return s.nums.get(a, 0)
 
 
+def _monomial_numerator(s: Series, mono) -> int:
+    """The numerator over s.den**len(mono) of the product of the coefficients
+    the maps of mono pick out of s; no factor past a zero one is read."""
+    value = 1
+    for factor in mono:
+        value *= _numerator(s, factor)
+        if not value:
+            break
+    return value
+
+
 class Character(NamedTuple):
     """Multiplicative evaluation of coordinate-map polynomials at a series."""
 
@@ -175,12 +187,7 @@ class Character(NamedTuple):
         return Fraction(_numerator(self.series, a), self.series.den)
 
     def eval_monomial(self, mono) -> Fraction:
-        value = Fraction(1)
-        for factor in mono:
-            value *= self.eval_map(factor)
-            if not value:
-                return value
-        return value
+        return Fraction(_monomial_numerator(self.series, mono), self.series.den ** len(mono))
 
     def __call__(self, poly) -> Fraction:
         if isinstance(poly, CoordMap):
@@ -234,26 +241,23 @@ def antipode_inverse(c: Series, max_len: int | None = None) -> Series:
 
 def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:
     """Convolution of two characters on one coordinate map."""
-    m = phi.series.m
-    if psi.series.m != m:
+    phi_s, psi_s = phi.series, psi.series
+    m = phi_s.m
+    if psi_s.m != m:
         raise ValueError("characters live over different alphabets")
     if any(letter > m for letter in a.word):
         raise ValueError(f"coordinate map {format_coord_map(a)} has a letter above m={m}")
-    # a term with a right leg of k maps sums over phi's den times psi's den**k
-    totals: dict = {}
+    # the tilde terms add a right factor only where the head letter is 0, so a
+    # right leg holds at most k - 1 maps and every term sums over phi's den
+    # times psi's den**k
+    k = a.word.count(0) + 1
+    scale = [psi_s.den ** (k - n) for n in range(k + 1)]  # by right-leg length
+    total = 0
     for left, right, coeff in tilde_terms(a, m):
-        value = _numerator(phi.series, left)
-        for factor in right:
-            if not value:
-                break  # as eval_monomial, read no factor past a zero one
-            value *= _numerator(psi.series, factor)
-        if value:
-            totals[len(right)] = totals.get(len(right), 0) + coeff * value
-    phi_den, psi_den = phi.series.den, psi.series.den
-    top = max(totals, default=0) + 1  # every term over phi_den * psi_den**top
+        value = _numerator(phi_s, left)
+        if value:  # as eval_monomial, read no factor past a zero one
+            total += coeff * value * _monomial_numerator(psi_s, right) * scale[len(right)]
     # the right-primitive term 1 (x) a of the full coproduct comes last, so a
     # word past psi's truncation is reported where the tilde terms meet it
-    total = _numerator(psi.series, a) * phi_den * psi_den ** (top - 1)
-    for k, n in totals.items():
-        total += n * psi_den ** (top - k)
-    return Fraction(total, phi_den * psi_den ** top)
+    total += _numerator(psi_s, a) * phi_s.den * scale[1]
+    return Fraction(total, phi_s.den * psi_s.den ** k)

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .lincomb import as_fraction, digit_limit_error, parse_rational
-from .words import Word, by_length, format_word, parse_word, shuffle_ints
+from .words import Word, by_length, format_word, parse_word, shuffle_into
 
 
 _ZERO = Fraction(0)  # Fraction is immutable, so every miss can share it
@@ -121,6 +121,9 @@ class Series:
         return not self.nums
 
     def truncated(self, max_len: int) -> "Series":
+        """The words no longer than max_len; a longer max_len pads."""
+        if max_len < 0:
+            raise ValueError(f"cannot truncate to the negative length {max_len}")
         kept = {key: n for key, n in self.nums.items() if len(key[1]) <= max_len}
         return from_nums(self.ell, self.m, max_len, kept, self.den)
 
@@ -147,6 +150,8 @@ def _require_same_shape(a: Series, b: Series) -> None:
 
 
 def add(a: Series, b: Series) -> Series:
+    """a + b at the shorter length: the reference that the tests and the bench
+    check the folded sums of `groupops.hat_compose` and `group_product` against."""
     _require_same_shape(a, b)
     max_len = min(a.max_len, b.max_len)
     den = lcm(a.den, b.den)
@@ -171,11 +176,12 @@ def shuffle_product(a: Series, b: Series) -> Series:
     """Channel-wise shuffle; the series-level product of parallel systems."""
     _require_same_shape(a, b)
     max_len = min(a.max_len, b.max_len)
-    nums = {}
+    nums: dict = {}
     b_channels = channel_nums(b)
     for ch, p in channel_nums(a).items():
-        for word, k in shuffle_ints(p, by_length(b_channels[ch]), max_len).items():
-            nums[(ch, word)] = k
+        out: dict = {}
+        shuffle_into(out, p, by_length(b_channels[ch]), max_len)
+        nums.update(((ch, word), k) for word, k in out.items())
     return from_nums(a.ell, a.m, max_len, nums, a.den * b.den)
 
 

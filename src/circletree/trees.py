@@ -11,9 +11,7 @@ white.  Extraction families come in two flavours:
   either disjoint or strictly nested.
 
 The general listing starts with the empty family.  The admissible one is
-read from the extraction kernel below and puts the empty family first and
-the "total" extraction (the whole tree, root included, a marker for the
-coproduct) last only on request.
+read from the extraction kernel below and lists the nonempty families only.
 
 Every generator the package builds comes from `gen`, a memo table that
 hands out one shared `Rct` per value (the interning rule of `lincomb`); an
@@ -49,19 +47,12 @@ def gen(root: int, word: Word) -> Rct:
 
 
 class Extraction(NamedTuple):
-    kind: str  # "empty" | "total" | "proper"
-    subsets: tuple[Subset, ...] = ()
+    """One extraction family: its subsets; the empty family has none."""
+
+    subsets: tuple[Subset, ...]
 
 
-EMPTY_EXTRACTION = Extraction("empty")
-TOTAL_EXTRACTION = Extraction("total")
-
-
-def proper_extraction(subsets) -> Extraction:
-    subsets = tuple(tuple(s) for s in subsets)
-    if not subsets:
-        raise ValueError("a proper extraction needs at least one subset")
-    return Extraction("proper", subsets)
+EMPTY_EXTRACTION = Extraction(())
 
 
 def weight(c: Rct) -> int:
@@ -121,20 +112,18 @@ def iter_general_families(c: Rct) -> Iterator[tuple[Subset, ...]]:
     yield from rec(0, (), (), 0)
 
 
-def enumerate_admissible_extractions(c: Rct, include_trivial: bool = False) -> list[Extraction]:
-    """Admissible families in lexicographic order, read from the kernel at m=1."""
+def enumerate_admissible_extractions(c: Rct) -> list[Extraction]:
+    """Nonempty admissible families in lexicographic order, read from the
+    kernel at m=1."""
     extractions = labelled_extractions(c.word, (1 << len(c.word)) - 1, 1)
-    out = [Extraction("proper", fam) for fam in sorted(
+    return [Extraction(fam) for fam in sorted(
         tuple(tuple(i + 1 for i in bit_indices(block)) for block in fam)
         for fam, _labels, _qword in extractions[1:])]
-    return [EMPTY_EXTRACTION, *out, TOTAL_EXTRACTION] if include_trivial else out
 
 
 def enumerate_all_extractions(c: Rct) -> list[Extraction]:
     """General extractions for the closed antipode formula; starts with the empty one."""
-    out = [EMPTY_EXTRACTION]
-    out.extend(Extraction("proper", fam) for fam in iter_general_families(c))
-    return out
+    return [EMPTY_EXTRACTION, *map(Extraction, iter_general_families(c))]
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +226,9 @@ class NestingForest(NamedTuple):
 
 
 def build_nesting_forest(c: Rct, extraction: Extraction) -> NestingForest:
-    """Containment hierarchy of a general extraction as a decorated forest."""
-    if extraction.kind != "proper":
-        raise ValueError("nesting forest needs a proper extraction")
+    """Containment hierarchy of a nonempty general extraction as a decorated forest."""
+    if not extraction.subsets:
+        raise ValueError("nesting forest needs a nonempty extraction")
     return NestingForest(c.root, _forest_nodes(extraction.subsets))
 
 

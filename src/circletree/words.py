@@ -68,15 +68,6 @@ def shuffle_into(out: dict, p: dict, q: dict, cap, prefix: Word = ()) -> None:
                 out[key] = get(key, 0) + ab * mult
 
 
-def shuffle_ints(p: dict, q: dict, max_len: int | None = None) -> dict:
-    """Bilinear shuffle of two int-coefficient word dicts, no word longer than
-    max_len, zeros dropped: `shuffle_into` on a fresh dict.  q lists its words
-    in order of length, as `shuffle_into` reads them."""
-    out: dict = {}
-    shuffle_into(out, p, q, float("inf") if max_len is None else max_len)
-    return {word: coeff for word, coeff in out.items() if coeff}
-
-
 def format_word(word: Word) -> str:
     if not word:
         return "e"

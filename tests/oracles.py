@@ -5,7 +5,7 @@ from math import lcm
 
 from circletree.coordmaps import CoordMap as A
 from circletree.lincomb import LinComb
-from circletree.words import by_length, shuffle_ints
+from circletree.words import by_length, shuffle_into
 
 
 def scale_to_ints(coeffs: dict) -> tuple[dict, int]:
@@ -16,14 +16,15 @@ def scale_to_ints(coeffs: dict) -> tuple[dict, int]:
 
 def shuffle_polys(p: LinComb, q: LinComb, max_len: int | None = None) -> LinComb:
     """Bilinear shuffle of two word polynomials, dropping words longer than
-    max_len: the int kernel `shuffle_ints` read back as Fractions."""
+    max_len and cancelled words: the int kernel `shuffle_into` read back as
+    Fractions."""
     p_ints, p_den = scale_to_ints(p)
     q_ints, q_den = scale_to_ints(q)
     den = p_den * q_den
-    out = shuffle_ints(p_ints, by_length(q_ints), max_len)
-    if den == 1:
-        return LinComb(out)
-    return LinComb({word: Fraction(coeff, den) for word, coeff in out.items()})
+    out: dict = {}
+    shuffle_into(out, p_ints, by_length(q_ints), float("inf") if max_len is None else max_len)
+    return LinComb({word: coeff if den == 1 else Fraction(coeff, den)
+                    for word, coeff in out.items() if coeff})
 
 
 def channel_poly(series, channel: int) -> LinComb:

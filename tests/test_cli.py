@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -119,13 +120,17 @@ def test_table1_rejects_a_table_without_rows(capsys):
     assert (code, out.splitlines()) == (0, ["degree,distinct_terms", "3,2"])
 
 
-def test_extractions_all_and_include_trivial_are_exclusive(capsys):
+@pytest.mark.parametrize("command, flags, refusal", [
+    ("extractions", ["--all", "--include-trivial"], "not allowed with argument --all"),
+    ("coproduct", ["--reduced", "--linearized"], "not allowed with argument --reduced"),
+], ids=["extractions", "coproduct"])
+def test_extractions_all_and_include_trivial_are_exclusive(capsys, command, flags, refusal):
     with pytest.raises(SystemExit) as exc:
-        main(["extractions", "--rct", "1:0.0", "--m", "1", "--all", "--include-trivial"])
+        main([command, "--rct", "1:0.0", "--m", "1", *flags])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not allowed with argument --all" in captured.err
+    assert refusal in captured.err
 
 
 def test_prelie_command(capsys):
@@ -257,6 +262,16 @@ def test_invert_command(tmp_path, capsys):
     assert err == "error: --maxlen -1 is below 0, the shortest word length\n"
 
 
+def test_invert_reads_a_series_from_stdin(tmp_path, capsys, monkeypatch):
+    text = "1 1 1\n2 0.2 -1/2\n"
+    a = tmp_path / "a.series"
+    a.write_text(text)
+    from_file = run_cli(capsys, "invert", str(a), "--maxlen", "2")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run_cli(capsys, "invert", "-", "--maxlen", "2") == from_file
+    assert from_file[0] == 0 and from_file[1]
+
+
 def test_convolve_command(tmp_path, capsys):
     a = tmp_path / "a.series"
     b = tmp_path / "b.series"
@@ -320,6 +335,17 @@ def test_axioms_command(capsys):
     assert code == 0
     assert out.splitlines()[-1] == "OK"
     assert all(": OK (" in line for line in out.splitlines()[:-1])
+
+
+def test_a_failed_check_exits_1(capsys, monkeypatch):
+    from circletree import checks
+
+    def failing(max_degree, m):
+        raise AssertionError("coassociativity fails at 1:0")
+
+    monkeypatch.setattr(checks, "run_axioms", failing)
+    assert run_cli(capsys, "axioms", "--max-degree", "1", "--m", "1") == (
+        1, "", "check failed: coassociativity fails at 1:0\n")
 
 
 def test_axioms_rejects_an_empty_sweep(capsys):

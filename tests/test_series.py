@@ -93,6 +93,8 @@ def test_constructor_validation():
     for shape in ((0, 2, 4), (1, 0, 4), (0, 0, 2), (1, 2, -1)):
         with pytest.raises(ValueError, match="series shape"):
             Series(*shape)  # no output, no letter x_1, or a negative truncation
+    with pytest.raises(ValueError, match="cannot truncate to the negative length -1"):
+        Series(1, 1, 2, {(1, (0,)): 1}).truncated(-1)  # nor a cut to a negative length
     assert Series(1, 2, 4, {(1, (1,)): 0}).is_zero()
     assert Series(1, 1, 0).is_zero()
 
@@ -145,6 +147,15 @@ def test_text_roundtrip():
     inferred = parse_series(text)
     assert inferred.coeffs == a.coeffs
     assert inferred.ell == 2 and inferred.m == 2 and inferred.max_len == 2
+
+
+def test_text_skips_comments_and_blank_lines(tmp_path):
+    plain = tmp_path / "plain.series"
+    noted = tmp_path / "noted.series"
+    plain.write_text("1 1 1\n2 0.2 -1/2\n")
+    noted.write_text("# a two-channel series\n\n1 1 1\n   \n  # the second channel\n"
+                     "2 0.2 -1/2\n\n")
+    assert parse_series(noted.read_text()) == parse_series(plain.read_text())
 
 
 def test_text_rejects_malformed():

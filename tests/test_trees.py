@@ -4,6 +4,7 @@ import pytest
 
 from circletree.trees import (
     EMPTY_EXTRACTION,
+    Extraction,
     Rct,
     admissible_subsets,
     bit_indices,
@@ -18,7 +19,6 @@ from circletree.trees import (
     labelled_extractions,
     parse_rct,
     parse_subset,
-    proper_extraction,
     quotient,
     restrict,
     weight,
@@ -92,9 +92,6 @@ def test_admissible_extractions_examples():
     assert enumerate_admissible_extractions(Rct(1, (1, 2))) == []
     # x0x0: three singleton families plus one disjoint pair (oracle-checked below)
     assert len(enumerate_admissible_extractions(Rct(1, (0, 0)))) == 4
-    trivial = enumerate_admissible_extractions(Rct(1, (0, 0)), include_trivial=True)
-    assert trivial[0].kind == "empty" and trivial[-1].kind == "total"
-    assert len(trivial) == 6
 
 
 def test_all_extractions_examples():
@@ -216,15 +213,15 @@ def _shape(node):
 
 def test_nesting_forest_shapes():
     c = Rct(1, (0, 0, 0))
-    chain = build_nesting_forest(c, proper_extraction([(1, 2, 3), (2, 3), (3,)]))
+    chain = build_nesting_forest(c, Extraction(((1, 2, 3), (2, 3), (3,))))
     assert [_shape(n) for n in chain.nodes] == \
         [((1, 2, 3), (((2, 3), (((3,), ()),)),))]
-    corolla = build_nesting_forest(c, proper_extraction([(1,), (2,), (3,)]))
+    corolla = build_nesting_forest(c, Extraction(((1,), (2,), (3,))))
     assert [_shape(n) for n in corolla.nodes] == \
         [((1,), ()), ((2,), ()), ((3,), ())]
-    single = build_nesting_forest(c, proper_extraction([(1, 3)]))
+    single = build_nesting_forest(c, Extraction(((1, 3),)))
     assert [_shape(n) for n in single.nodes] == [((1, 3), ())]
-    mixed = build_nesting_forest(c, proper_extraction([(1, 3), (2,), (3,)]))
+    mixed = build_nesting_forest(c, Extraction(((1, 3), (2,), (3,))))
     assert [_shape(n) for n in mixed.nodes] == \
         [((1, 3), (((3,), ()),)), ((2,), ())]
 
