@@ -18,10 +18,13 @@ Tensor values share the monomial-pair convention of `hopf`: keys are
 (left monomial, right monomial) with single-map monomials of length 1.
 
 The memo tables here follow the interning rule of `lincomb`: every map
-they hold comes from `trees.gen`, and the monomials they keep (the right
-legs of `_tilde_items`, the keys of `_antipode` entries) from
+they hold comes from `trees.gen`, and the right legs of `_tilde_items` from
 `lincomb.intern`, so each value is one shared object however many entries
-hold it.
+hold it.  The one antipode table `_antipode` is keyed by generator, but
+its entries are polynomials in generator ids (`trees.gen_id`) keyed by
+interned sorted id tuples, so the left recursion's many products sort and
+hash ints, not tuples of generators.  `antipode` decodes each entry
+into shared monomials of maps (`trees.decode`) on every read.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from collections import Counter
 
 from . import lincomb
 from .lincomb import LinComb, format_monomial, intern, memo
-from .trees import Rct, degree, gen, mono_degree  # one grading for both spellings
+from .trees import GENS, Rct, decode, gen, gen_id
+from .trees import degree, mono_degree  # one grading for both spellings
 from .words import Word, format_word, parse_word
 
 CoordMap = Rct
@@ -116,14 +120,18 @@ def reduced_terms(a: CoordMap, m: int) -> tuple[tuple[CoordMap, CMono, int], ...
 @memo
 def _antipode(a: CoordMap, m: int, side: str) -> LinComb:
     """The one antipode table of the package: trees and coordinate maps
-    are one generator type, so `hopf` reads the same entries.  `a` is
-    shared (from `gen`), and each stored monomial is interned once here."""
-    step = lincomb.antipode_step(a, reduced_terms(a, m), side, lambda x: _antipode(x, m, side))
+    are one generator type, so `hopf` reads the same entries.  An entry is
+    the antipode of `a` on generator ids, each stored id tuple interned
+    once here; the step runs on the reduced terms with their maps as ids."""
+    terms = [(gen_id(*left), tuple(sorted([gen_id(*r) for r in right])), k)
+             for left, right, k in reduced_terms(a, m)]
+    step = lincomb.antipode_step(gen_id(*a), terms, side,
+                                 lambda i: _antipode(GENS[i], m, side))
     return LinComb({intern(mono): k for mono, k in step.items()})
 
 
 def antipode(a: CoordMap, m: int, side: str = "right") -> LinComb:
-    return LinComb(_antipode(gen(*a), m, side))
+    return LinComb({decode(ids): k for ids, k in _antipode(gen(*a), m, side).items()})
 
 
 # ---------------------------------------------------------------------------

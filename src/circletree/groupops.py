@@ -37,7 +37,6 @@ from math import lcm
 from typing import NamedTuple
 
 from .coordmaps import CoordMap, antipode, format_coord_map, tilde_terms
-from .lincomb import as_fraction
 from .series import Series, _require_same_shape, channel_nums, from_nums, zero_series
 from .words import by_length, shuffle_into
 
@@ -194,10 +193,14 @@ class Character(NamedTuple):
             return self.eval_map(poly)
         if isinstance(poly, tuple):
             return self.eval_monomial(poly)
-        total = Fraction(0)
-        for mono, coeff in poly.items():
-            total += as_fraction(coeff) * self.eval_monomial(mono)
-        return total
+        # one sum over den**top, top the longest monomial, and one Fraction;
+        # the monomials are read in order, so the first bad map raises first
+        series = self.series
+        top = max(map(len, poly), default=0)
+        scale = [series.den ** (top - n) for n in range(top + 1)]  # by monomial length
+        total = sum(coeff * _monomial_numerator(series, mono) * scale[len(mono)]
+                    for mono, coeff in poly.items())
+        return Fraction(total, scale[0])
 
 
 def _inverse_length(c: Series, max_len: int | None) -> int:

@@ -18,13 +18,17 @@ forest formula does.  The antipode comes three ways:
   its raw expansion cancels heavily, which `antipode_stats` counts;
 * the closed forest formula, one signed monomial per general extraction
   and labelling, never mixing signs on a monomial: the independent oracle
-  of the recursions.  Its blocks are bitmasks; `forest_signed_terms` lists
-  them as position subsets for the sign-purity check.
+  of the recursions.  Its blocks are bitmasks and its factors generator
+  ids (`trees.gen_id`); `antipode_forest` counts the sorted id tuples and
+  decodes each distinct monomial once, and `forest_signed_terms` lists the
+  blocks as position subsets, and decodes each term, for the sign-purity
+  check.
 
 Trees and coordinate maps are one generator type (`CoordMap` is `Rct`),
 so both recursions read the combined terms `coordmaps.reduced_terms`
 with no relabelling, and the memoized ones fill and read the one
-`coordmaps._antipode` table, keyed by (generator, m, side); only the
+`coordmaps._antipode` table, keyed by (generator, m, side) and holding
+polynomials in generator ids that `coordmaps.antipode` decodes; only the
 formatter (`1:0.0` here, `a[1;0.0]` there) tells the sides apart.  Pass
 memoize=False to `antipode_recursive` to force the raw expansion, e.g. to
 time it.  `antipode_stats` counts the raw terms of either recursion from
@@ -35,6 +39,7 @@ terms.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 from typing import Iterator, NamedTuple
 
@@ -42,8 +47,8 @@ from . import coordmaps, lincomb
 from .coordmaps import reduced_terms
 from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, memo,
                       mono_mul, mono_sort_key, nonzero)
-from .trees import (Rct, Word, bit_indices, block_tree, degree, format_rct, gen,
-                    labelled_extractions, mono_degree)
+from .trees import (Rct, Word, bit_indices, block_tree, decode, degree, format_rct, gen,
+                    gen_id, labelled_extractions, mono_degree)
 
 Monomial = tuple[Rct, ...]
 
@@ -117,15 +122,15 @@ def antipode_poly(p: LinComb, m: int, method: str = "right") -> LinComb:
 def _forest_terms(word: Word, mask: int, root: int, m: int, seen: dict) -> Iterator[tuple]:
     """(blocks, factors) of every labelled general family of the tree with
     this root on the positions of `mask`: a top-level disjoint family, then a
-    general family inside each block below its minimum; one factor per block
-    and the quotient.  `seen` holds each (block, label) expansion met so far
+    general family inside each block below its minimum; one factor id per
+    block and the quotient.  `seen` holds each (block, label) expansion met so far
     and, keyed by the mask alone, each mask's labelled extractions, which do
     not depend on the root label."""
     extractions = seen.get(mask)
     if extractions is None:
         extractions = seen[mask] = labelled_extractions(word, mask, m)
     for family, labels, qword in extractions:
-        terms = [(family, (gen(root, qword),))]
+        terms = [(family, (gen_id(root, qword),))]
         for block, label in zip(family, labels):
             inner = seen.get((block, label))
             if inner is None:
@@ -145,17 +150,15 @@ def forest_signed_terms(c: Rct, m: int) -> Iterator[tuple[tuple, Monomial, int]]
             if block not in subset_of:
                 subset_of[block] = tuple(i + 1 for i in bit_indices(block))
         subsets = sorted(subset_of[block] for block in blocks)
-        yield tuple(subsets), tuple(sorted(factors)), 1 if len(blocks) % 2 else -1
+        yield tuple(subsets), decode(tuple(sorted(factors))), 1 if len(blocks) % 2 else -1
 
 
 def antipode_forest(c: Rct, m: int) -> LinComb:
-    """Sum of the forest terms; a term of n factors has sign (-1)^n."""
-    acc: dict = {}
-    get = acc.get
-    for _blocks, factors in _forest_terms(c.word, (1 << len(c.word)) - 1, c.root, m, {}):
-        key = tuple(sorted(factors))
-        acc[key] = get(key, 0) + (-1 if len(factors) % 2 else 1)
-    return LinComb({key: k for key, k in acc.items() if k})
+    """Sum of the forest terms; a term of n factors has sign (-1)^n, so no
+    two terms cancel and each monomial's coefficient is its count, signed."""
+    counts = Counter(tuple(sorted(factors)) for _blocks, factors
+                     in _forest_terms(c.word, (1 << len(c.word)) - 1, c.root, m, {}))
+    return LinComb({decode(ids): -k if len(ids) % 2 else k for ids, k in counts.items()})
 
 
 def antipode(c: Rct, m: int, method: str = "right") -> LinComb:

@@ -10,17 +10,24 @@ The monomial algebra and the antipode step below are shared by the
 circle-tree and the coordinate-map algebras.  The step and `poly_mul`,
 the hot loops of both antipodes, add each term into a plain dict under
 its sorted monomial and drop the zeros once, on return.  Every memo
-table of the package is made by `memo`, which registers it so that
+table of the package is made by `memo`, and every plain store the tables
+share or index is passed to `memo_store`; both register it, so that
 `clear_caches` empties them all.
 
 Interning rule: a memo table stores one shared object per value.  Every
 generator the package builds comes from `trees.gen`, and a monomial that a
-table keeps (a right leg of the coproduct terms, a key of an antipode
-entry) passes once through `intern`; a monomial generated and combined
-within one call is not interned, so the unmemoized route does no interning
-work.  Equal values stay equal whatever object holds them, so a caller's
-own generator works as before; shared ones let comparisons and lookups
-take the identity shortcut and keep the tables small.
+table keeps (a right leg of the coproduct terms) passes once through
+`intern`; a monomial generated and combined within one call is not
+interned, so the unmemoized route does no interning work.  The antipode
+table and the forest sum run on small int generator ids (`trees.gen_id`):
+an antipode entry is keyed by interned sorted id tuples, and a monomial
+leaves the package through `trees.decode`, which hands out one interned
+sorted tuple of generators per id tuple.  The interning table, the
+numbering's inverse list `trees.GENS` and the decoded monomials are plain
+stores that `clear_caches` empties with the tables, so no id outlives the
+numbering.  Equal values stay equal whatever object holds them, so a
+caller's own generator works as before; shared ones let comparisons and
+lookups take the identity shortcut and keep the tables small.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 _MEMO_TABLES: list = []
+_MEMO_STORES: list = []  # plain dicts and lists that live as long as the tables
 
 
 def memo(fn):
@@ -40,17 +48,30 @@ def memo(fn):
     return cached
 
 
+def memo_store(store):
+    """Register `store`, a plain dict or list that the memo tables share or
+    index, so that `clear_caches` empties it with them; a dict entry costs a
+    fraction of an `lru_cache` one, which counts where a store holds one
+    entry per stored monomial."""
+    _MEMO_STORES.append(store)
+    return store
+
+
 def clear_caches() -> None:
-    """Empty every memo table of the package, e.g. to time a cold run."""
+    """Empty every memo table and store of the package, e.g. to time a cold run."""
     for cached in _MEMO_TABLES:
         cached.cache_clear()
+    for store in _MEMO_STORES:
+        store.clear()
 
 
-@memo
+_INTERNED: dict = memo_store({})
+
+
 def intern(value):
     """The one shared object equal to `value`: the first one met since the
     tables were last cleared."""
-    return value
+    return _INTERNED.setdefault(value, value)
 
 
 class LinComb(dict):

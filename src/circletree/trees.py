@@ -12,17 +12,22 @@ white.  Extraction families come in two flavours:
 
 The general listing starts with the empty family.  The admissible one is
 read from the extraction kernel below and lists the nonempty families only.
+Both listings test compatibility on bitmasks and build each subset's
+position tuple once per call.
 
 Every generator the package builds comes from `gen`, a memo table that
 hands out one shared `Rct` per value (the interning rule of `lincomb`); an
-`Rct(...)` a caller builds is equal to it and works everywhere.
+`Rct(...)` a caller builds is equal to it and works everywhere.  Inside the
+antipode table and the forest sum a generator is a small int, `gen_id`, and
+`GENS` lists the generators by id; `decode` turns a tuple of ids into the
+one shared sorted monomial of generators, where a result leaves the package.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .lincomb import memo
+from .lincomb import intern, memo, memo_store
 from .words import Word, format_word, parse_word, word_degree
 
 Subset = tuple[int, ...]
@@ -44,6 +49,29 @@ Rct.channel = Rct.root  # the same read-only field getter under its coordinate-m
 def gen(root: int, word: Word) -> Rct:
     """The one shared generator root:word (its word too is the first one met)."""
     return Rct(root, word)
+
+
+GENS: list[Rct] = memo_store([])  # id -> shared generator, the inverse of `gen_id`
+
+
+@memo
+def gen_id(root: int, word: Word) -> int:
+    """The small int of the generator root:word: its place in `GENS`, which
+    `lincomb.clear_caches` empties with this table and every table of ids."""
+    GENS.append(gen(root, word))
+    return len(GENS) - 1
+
+
+_DECODED: dict = memo_store({})
+
+
+def decode(ids: tuple[int, ...]) -> tuple[Rct, ...]:
+    """The one shared sorted monomial of the generators with these ids,
+    memoized by id tuple."""
+    mono = _DECODED.get(ids)
+    if mono is None:
+        mono = _DECODED[ids] = intern(tuple(sorted([GENS[i] for i in ids])))
+    return mono
 
 
 class Extraction(NamedTuple):
@@ -87,38 +115,47 @@ def admissible_subsets(c: Rct) -> list[Subset]:
     return out
 
 
-def iter_general_families(c: Rct) -> Iterator[tuple[Subset, ...]]:
+def iter_general_families(c: Rct) -> list[tuple[Subset, ...]]:
     """Nonempty disjoint-or-nested families with pairwise distinct minima, in
-    lexicographic order, tested on bitmasks; the oracle of the forest formula."""
+    lexicographic order; the oracle of the forest formula.  Bit j of
+    `later[i]` says that the j-th admissible subset, j > i, may share a
+    family with the i-th; the condition is pairwise, so the subsets that may
+    join a family are the AND of its members' `later` bitsets."""
     subsets = admissible_subsets(c)
     masks = [sum(1 << p for p in s) for s in subsets]
+    lows = [a & -a for a in masks]
+    # a later subset with another minimum has a larger one, so it can only
+    # be disjoint from the earlier subset or nest inside it
+    later = [sum(1 << j for j in range(i + 1, len(masks))
+                 if lows[j] != lows[i] and (a & masks[j]) in (0, masks[j]))
+             for i, a in enumerate(masks)]
+    out: list[tuple[Subset, ...]] = []
 
-    def rec(start: int, family: tuple, family_masks: tuple, minima: int) -> Iterator[tuple]:
-        for idx in range(start, len(subsets)):
-            cand = masks[idx]
-            low = cand & -cand
-            if low & minima:
-                continue
-            # the candidate's minimum is above every chosen one, so it can
-            # only nest inside a chosen subset
-            for s in family_masks:
-                if (cand & s) not in (0, cand):
-                    break
-            else:
-                grown = family + (subsets[idx],)
-                yield grown
-                yield from rec(idx + 1, grown, family_masks + (cand,), minima | low)
+    def rec(allowed: int, family: tuple) -> None:
+        while allowed:
+            low = allowed & -allowed
+            j = low.bit_length() - 1
+            grown = family + (subsets[j],)
+            out.append(grown)
+            rec(allowed & later[j], grown)
+            allowed ^= low
 
-    yield from rec(0, (), (), 0)
+    rec((1 << len(subsets)) - 1, ())
+    return out
 
 
 def enumerate_admissible_extractions(c: Rct) -> list[Extraction]:
     """Nonempty admissible families in lexicographic order, read from the
-    kernel at m=1."""
-    extractions = labelled_extractions(c.word, (1 << len(c.word)) - 1, 1)
-    return [Extraction(fam) for fam in sorted(
-        tuple(tuple(i + 1 for i in bit_indices(block)) for block in fam)
-        for fam, _labels, _qword in extractions[1:])]
+    kernel at m=1; each block mask becomes positions once per call."""
+    positions: dict[int, Subset] = {}
+    families = []
+    for fam, _labels, _qword in labelled_extractions(c.word, (1 << len(c.word)) - 1, 1)[1:]:
+        for block in fam:
+            if block not in positions:
+                positions[block] = tuple(i + 1 for i in bit_indices(block))
+        families.append(tuple([positions[block] for block in fam]))
+    families.sort()
+    return list(map(Extraction, families))
 
 
 def enumerate_all_extractions(c: Rct) -> list[Extraction]:

@@ -290,6 +290,29 @@ def test_character_evaluation():
         phi(CoordMap(1, (1, 1, 1, 1)))
 
 
+def test_character_sums_a_polynomial_exactly():
+    c = Series(2, 2, 2, {(1, (0,)): Fraction(3, 2), (2, ()): Fraction(1, 3), (1, ()): 5})
+    phi = Character(c)
+    a, b, z = CoordMap(1, (0,)), CoordMap(2, ()), CoordMap(2, (1,))
+    assert phi(LinComb()) == 0
+    assert phi(LinComb({(): Fraction(1, 7)})) == Fraction(1, 7)
+    poly = LinComb({(a,): 2, tuple(sorted((a, b, b))): Fraction(-3, 4), (b,): 1,
+                    (): Fraction(1, 2), (z, z): 9})
+    assert phi(poly) == 3 - Fraction(3, 4) * Fraction(3, 2) / 9 + Fraction(1, 3) + Fraction(1, 2)
+    assert phi(poly) == sum(k * phi(mono) for mono, k in poly.items())
+    # a map past the truncation raises as it does alone, and the first bad map first
+    past = CoordMap(1, (0, 1, 1))
+    message = "word (0, 1, 1) exceeds the series truncation 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        phi(LinComb({(a,): 1, (past,): 2}))
+    with pytest.raises(ValueError, match="exceeds the series truncation"):
+        phi(LinComb({(past,): 1, (CoordMap(3, ()),): 1}))
+    # no factor past a zero one is read
+    zero, beyond = CoordMap(1, (1,)), CoordMap(1, (2, 2, 2))
+    assert (zero, beyond) == tuple(sorted((zero, beyond)))
+    assert phi(LinComb({(zero, beyond): 1, (a,): 2})) == 3
+
+
 def test_convolve_on_empty_word_map():
     rng = random.Random(9)
     c = rand_series(rng, 2, 2, 3)

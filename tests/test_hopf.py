@@ -4,7 +4,7 @@ import pkgutil
 import pytest
 
 import circletree
-from circletree import checks, coordmaps, hopf, lincomb
+from circletree import checks, coordmaps, hopf, lincomb, trees
 from circletree.hopf import (
     antipode_forest,
     antipode_poly,
@@ -304,6 +304,25 @@ def test_clear_caches_empties_every_memo_table():
     assert all(cache.cache_info().currsize for cache in caches)
     hopf.clear_caches()
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
+
+
+def test_generator_ids_live_only_as_long_as_the_tables():
+    def sweep():
+        results = [(hopf.antipode(c, 2), coordmaps.antipode(c, 2, "left"), antipode_forest(c, 2))
+                   for c in iter_rcts(5, 2)]
+        return results, len(trees.GENS), trees.gen_id.cache_info().currsize
+
+    hopf.clear_caches()
+    results, size, ids = sweep()
+    assert size == ids > 0
+    # the interned monomials, the numbering's inverse and the decoded monomials
+    stores = [lincomb._INTERNED, trees.GENS, trees._DECODED]
+    assert list(map(id, lincomb._MEMO_STORES)) == list(map(id, stores))
+    assert all(stores)
+    hopf.clear_caches()
+    assert trees.gen_id.cache_info().currsize == 0 and not any(stores)
+    # a second cycle numbers the same generators afresh, to the same size
+    assert sweep() == (results, size, ids)
 
 
 def _assert_one_object_per_value(c: Rct) -> list:

@@ -111,8 +111,11 @@ def test_all_extractions_examples():
 def test_enumerations_match_bruteforce(word):
     c = Rct(1, word)
     assert admissible_subsets(c) == brute_admissible_subsets(c)
-    got = {frozenset(e.subsets) for e in enumerate_admissible_extractions(c)}
-    assert got == brute_families(c, general=False)
+    admissible = [e.subsets for e in enumerate_admissible_extractions(c)]
+    assert {frozenset(fam) for fam in admissible} == brute_families(c, general=False)
+    assert len(set(admissible)) == len(admissible)
+    # `extractions` prints this order
+    assert admissible == sorted(admissible)
     general = list(iter_general_families(c))
     assert {frozenset(fam) for fam in general} == brute_families(c, general=True)
     assert len(set(general)) == len(general)
