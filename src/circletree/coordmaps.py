@@ -9,22 +9,25 @@ with (`a[1;0.0]` here, `1:0.0` in `hopf`).  The coproduct here is *not*
 computed through extraction combinatorics; it is built from the three
 recursions on the prepend operators (deshuffle coproduct, then the
 feedback coproduct, then the full one), which give its terms already
-combined.  `hopf` reads its coproduct and both recursive antipodes from
-`reduced_terms` and `_antipode` as they are; the extraction sum
-`hopf.extraction_coproduct` and the forest formula are the independent
-references they are checked against.
+combined.  `hopf` reads its coproduct from `reduced_terms`, and both
+recursive antipodes and its raw counts from `reduced_items` and
+`_antipode`, as they are; the extraction sum `hopf.extraction_coproduct`
+and the forest formula are the independent references they are checked
+against.
 
 Tensor values share the monomial-pair convention of `hopf`: keys are
 (left monomial, right monomial) with single-map monomials of length 1.
 
-The memo tables here follow the interning rule of `lincomb`: every map
-they hold comes from `trees.gen`, and the right legs of `_tilde_items` from
-`lincomb.intern`, so each value is one shared object however many entries
-hold it.  The one antipode table `_antipode` is keyed by generator, but
-its entries are polynomials in generator ids (`trees.gen_id`) keyed by
-interned sorted id tuples, so the left recursion's many products sort and
-hash ints, not tuples of generators.  `antipode` decodes each entry
-into shared monomials of maps (`trees.decode`) on every read.
+The memo tables here follow the interning rule of `lincomb`: they hold
+maps as generator ids (`trees.gen_id`).  `_tilde_items` is keyed by
+(channel, word, m) and holds (left id, sorted right id tuple, coefficient)
+terms, each right tuple from `lincomb.intern`; the one antipode table
+`_antipode` is keyed by (id, m, side) and holds polynomials keyed by
+interned sorted id tuples, so the recursions' many products sort and hash
+ints, not tuples of generators.  Maps appear only where a result leaves:
+`tilde_terms`, `reduced_terms`, the deltas and `antipode` decode the id
+terms into shared maps and monomials (`trees.GENS`, `trees.decode`) on
+every read.
 """
 
 from __future__ import annotations
@@ -59,16 +62,17 @@ def deshuffle_coproduct(a: CoordMap, j: int) -> LinComb:
 
 
 @memo
-def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
-    """Feedback coproduct terms (left single map, right monomial, coefficient)
-    by the prepend recursion, one plain-dict update per term; no positive
-    coefficient cancels, so the terms keep the order they are first met in,
-    and the left-primitive term (a, (), 1), met first, stays first."""
+def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Feedback coproduct terms (left map id, sorted right id tuple,
+    coefficient) by the prepend recursion, one plain-dict update per term;
+    no positive coefficient cancels, so the terms keep the order they are
+    first met in, and the left-primitive term (id of a, (), 1), met first,
+    stays first."""
     if not word:
-        return ((gen(channel, ()), UNIT, 1),)
+        return ((gen_id(channel, ()), UNIT, 1),)
     head, tail = word[0], word[1:]
     # prepending any letter acts on the left leg, which stays on `channel`
-    acc = {(gen(channel, (head,) + left.word), right): coeff
+    acc = {(gen_id(channel, (head,) + GENS[left].word), right): coeff
            for left, right, coeff in _tilde_items(channel, tail, m)}
     get = acc.get
     if head == 0:
@@ -76,17 +80,26 @@ def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[CoordMap, CMon
         splits = _deshuffle_splits(tail).items()
         for n in range(1, m + 1):
             for (u, v), dcoeff in splits:
-                vn = (gen(n, v),)
+                vn = (gen_id(n, v),)
                 for left, right, coeff in _tilde_items(channel, u, m):
-                    key = (gen(channel, (n,) + left.word), tuple(sorted(right + vn)))
+                    key = (gen_id(channel, (n,) + GENS[left].word), tuple(sorted(right + vn)))
                     acc[key] = get(key, 0) + coeff * dcoeff
     return tuple((left, intern(right), coeff) for (left, right), coeff in acc.items())
 
 
+def reduced_items(i: int, m: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """The tilde id terms of the map with id `i` less the left-primitive one,
+    which comes first (it is the only term with an empty right leg): the
+    reduced coproduct every recursion and raw count reads."""
+    a = GENS[i]
+    return _tilde_items(a.channel, a.word, m)[1:]
+
+
 def tilde_terms(a: CoordMap, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
     """The combined terms (left single map, right monomial, coefficient) of
-    tilde_delta(a, m), read from the memo table without copying."""
-    return _tilde_items(a.channel, a.word, m)
+    tilde_delta(a, m), the table's id terms as shared maps and monomials."""
+    return tuple((GENS[left], decode(right), k)
+                 for left, right, k in _tilde_items(a.channel, a.word, m))
 
 
 def tilde_delta(a: CoordMap, m: int) -> LinComb:
@@ -111,27 +124,23 @@ def full_delta(a: CoordMap, m: int) -> LinComb:
 
 
 def reduced_terms(a: CoordMap, m: int) -> tuple[tuple[CoordMap, CMono, int], ...]:
-    """The tilde terms of `a` less the left-primitive one, which comes first
-    (it is the only term with an empty right leg): the reduced coproduct
-    both recursions read."""
+    """The tilde terms of `a` less the left-primitive one, decoded as in
+    `tilde_terms`: the reduced coproduct as shared maps and monomials."""
     return tilde_terms(a, m)[1:]
 
 
 @memo
-def _antipode(a: CoordMap, m: int, side: str) -> LinComb:
+def _antipode(i: int, m: int, side: str) -> LinComb:
     """The one antipode table of the package: trees and coordinate maps
     are one generator type, so `hopf` reads the same entries.  An entry is
-    the antipode of `a` on generator ids, each stored id tuple interned
-    once here; the step runs on the reduced terms with their maps as ids."""
-    terms = [(gen_id(*left), tuple(sorted([gen_id(*r) for r in right])), k)
-             for left, right, k in reduced_terms(a, m)]
-    step = lincomb.antipode_step(gen_id(*a), terms, side,
-                                 lambda i: _antipode(GENS[i], m, side))
+    the antipode of the map with id `i`, keyed by sorted id tuples, each
+    interned once here; the step reads the reduced id terms as they are."""
+    step = lincomb.antipode_step(i, reduced_items(i, m), side, lambda j: _antipode(j, m, side))
     return LinComb({intern(mono): k for mono, k in step.items()})
 
 
 def antipode(a: CoordMap, m: int, side: str = "right") -> LinComb:
-    return LinComb({decode(ids): k for ids, k in _antipode(gen(*a), m, side).items()})
+    return LinComb({decode(ids): k for ids, k in _antipode(gen_id(*a), m, side).items()})
 
 
 # ---------------------------------------------------------------------------

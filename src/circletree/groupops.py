@@ -21,8 +21,9 @@ put in canonical form once, with no Fraction built.  Group inversion
 solves the fixed point d = mod_compose(-c, d) one length per round, each
 round a product at its own length; antipode evaluation, the paper's
 route, is kept as the reference `antipode_inverse`.  Convolution reads
-the memoized feedback-coproduct terms of `coordmaps` directly and sums
-their numerators in one pass over one denominator, phi's times psi's to
+the memoized feedback-coproduct id terms of `coordmaps` directly (one
+`GENS` lookup per left map, one `decode` per right leg) and sums their
+numerators in one pass over one denominator, phi's times psi's to
 the power one more than the map's integrator letters, so it builds one
 Fraction, its value.  Characters read numerators too: a monomial's value
 is the product of its factors' numerators over the matching power of the
@@ -36,8 +37,9 @@ from itertools import product as iter_product
 from math import lcm
 from typing import NamedTuple
 
-from .coordmaps import CoordMap, antipode, format_coord_map, tilde_terms
+from .coordmaps import CoordMap, _tilde_items, antipode, format_coord_map
 from .series import Series, _require_same_shape, channel_nums, from_nums, zero_series
+from .trees import GENS, decode
 from .words import by_length, shuffle_into
 
 
@@ -81,6 +83,10 @@ def _channel_image(words: dict, d_ints: dict, den: int, length: int,
         cap = length - n
         parents = levels[n - 1]
         for prefix, acc in levels[n].items():
+            if 0 in acc.values():  # words that cancelled are carried no further
+                acc = {w: k for w, k in acc.items() if k}
+                if not acc:
+                    continue
             letter, parent = prefix[-1], prefix[:-1]
             out = parents.get(parent)
             if out is None:
@@ -256,10 +262,10 @@ def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:
     k = a.word.count(0) + 1
     scale = [psi_s.den ** (k - n) for n in range(k + 1)]  # by right-leg length
     total = 0
-    for left, right, coeff in tilde_terms(a, m):
-        value = _numerator(phi_s, left)
+    for left, right, coeff in _tilde_items(a.channel, a.word, m):
+        value = _numerator(phi_s, GENS[left])
         if value:  # as eval_monomial, read no factor past a zero one
-            total += coeff * value * _monomial_numerator(psi_s, right) * scale[len(right)]
+            total += coeff * value * _monomial_numerator(psi_s, decode(right)) * scale[len(right)]
     # the right-primitive term 1 (x) a of the full coproduct comes last, so a
     # word past psi's truncation is reported where the tilde terms meet it
     total += _numerator(psi_s, a) * phi_s.den * scale[1]

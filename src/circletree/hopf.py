@@ -25,16 +25,18 @@ forest formula does.  The antipode comes three ways:
   check.
 
 Trees and coordinate maps are one generator type (`CoordMap` is `Rct`),
-so both recursions read the combined terms `coordmaps.reduced_terms`
+so both recursions read the combined id terms `coordmaps.reduced_items`
 with no relabelling, and the memoized ones fill and read the one
-`coordmaps._antipode` table, keyed by (generator, m, side) and holding
+`coordmaps._antipode` table, keyed by (generator id, m, side) and holding
 polynomials in generator ids that `coordmaps.antipode` decodes; only the
 formatter (`1:0.0` here, `a[1;0.0]` there) tells the sides apart.  Pass
 memoize=False to `antipode_recursive` to force the raw expansion, e.g. to
-time it.  `antipode_stats` counts the raw terms of either recursion from
-the combined terms k l (x) r_1...r_n: g(a) = 1 + sum k g(l) on the left,
-and on the right M(a) = 1 + sum k M(r_1)...M(r_n), the number of forest
-terms.
+time it; it too runs on ids and decodes once, at the end.
+`antipode_stats` counts the raw terms of either recursion from the
+combined terms k l (x) r_1...r_n: g(a) = 1 + sum k g(l) on the left, and on
+the right M(a) = 1 + sum k M(r_1)...M(r_n), the number of forest terms;
+`_raw_count` is keyed by generator id, and the support and mass are read
+from the id entry of the antipode table, with nothing decoded.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from math import prod
 from typing import Iterator, NamedTuple
 
 from . import coordmaps, lincomb
-from .coordmaps import reduced_terms
+from .coordmaps import reduced_items, reduced_terms
 from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, memo,
                       mono_mul, mono_sort_key, nonzero)
 from .trees import (Rct, Word, bit_indices, block_tree, decode, degree, format_rct, gen,
@@ -105,10 +107,10 @@ def antipode_recursive(c: Rct, m: int, side: str = "right", memoize: bool = True
     if memoize:
         return coordmaps.antipode(c, m, side)
 
-    def raw(x: Rct) -> LinComb:
-        return lincomb.antipode_step(x, reduced_terms(x, m), side, raw)
+    def raw(i: int) -> LinComb:
+        return lincomb.antipode_step(i, reduced_items(i, m), side, raw)
 
-    return raw(c)
+    return LinComb({decode(ids): k for ids, k in raw(gen_id(*c)).items()})
 
 
 def antipode_poly(p: LinComb, m: int, method: str = "right") -> LinComb:
@@ -180,22 +182,25 @@ class StatsRecord(NamedTuple):
 
 
 @memo
-def _raw_count(a: Rct, m: int, side: str) -> int:
-    """Signed monomials the raw recursion on `side` emits for `a` before
-    combining, the twin of `lincomb.antipode_step`; on the right it is the
-    number of forest terms."""
+def _raw_count(i: int, m: int, side: str) -> int:
+    """Signed monomials the raw recursion on `side` emits for the generator
+    with id `i` before combining, the twin of `lincomb.antipode_step`; on the
+    right it is the number of forest terms."""
     if side == "left":
-        return 1 + sum(k * _raw_count(left, m, side) for left, _right, k in reduced_terms(a, m))
+        return 1 + sum(k * _raw_count(left, m, side) for left, _right, k in reduced_items(i, m))
     return 1 + sum(k * prod(_raw_count(r, m, side) for r in right)
-                   for _left, right, k in reduced_terms(a, m))
+                   for _left, right, k in reduced_items(i, m))
 
 
 def antipode_stats(c: Rct, m: int, method: str = "recursive_left") -> StatsRecord:
     side = {"recursive_left": "left", "forest": "right"}.get(method)
     if side is None:
         raise ValueError(f"unknown stats method {method!r}")
-    generated = _raw_count(c, m, side)
-    poly = antipode(c, m)  # the antipode is one element whichever route computes it
+    i = gen_id(*c)
+    generated = _raw_count(i, m, side)
+    # the antipode is one element whichever route computes it; its id entry
+    # has the support and the mass, so nothing is decoded
+    poly = coordmaps._antipode(i, m, "right")
     cancelled = generated - poly.coeff_mass()
     return StatsRecord(degree(c), method, generated, len(poly), cancelled)
 

@@ -15,19 +15,22 @@ share or index is passed to `memo_store`; both register it, so that
 `clear_caches` empties them all.
 
 Interning rule: a memo table stores one shared object per value.  Every
-generator the package builds comes from `trees.gen`, and a monomial that a
-table keeps (a right leg of the coproduct terms) passes once through
-`intern`; a monomial generated and combined within one call is not
-interned, so the unmemoized route does no interning work.  The antipode
-table and the forest sum run on small int generator ids (`trees.gen_id`):
-an antipode entry is keyed by interned sorted id tuples, and a monomial
-leaves the package through `trees.decode`, which hands out one interned
-sorted tuple of generators per id tuple.  The interning table, the
-numbering's inverse list `trees.GENS` and the decoded monomials are plain
-stores that `clear_caches` empties with the tables, so no id outlives the
-numbering.  Equal values stay equal whatever object holds them, so a
-caller's own generator works as before; shared ones let comparisons and
-lookups take the identity shortcut and keep the tables small.
+memo table of the algebra holds small int generator ids (`trees.gen_id`),
+not generators: the coproduct terms, the raw counts and the antipode
+entries, and the forest sum and the unmemoized recursion compute on ids
+too, so the hot loops sort and hash ints.  A monomial that a table keeps
+(a right leg of the coproduct terms, an antipode key) is a sorted id tuple
+that passes once through `intern`; a monomial generated and combined within
+one call is not interned, so the unmemoized route does no interning work.
+A generator (`trees.Rct`, from `trees.gen`) appears only at the package
+edge: a result leaves through `trees.GENS` and `trees.decode`, which hands
+out one interned sorted tuple of generators per id tuple.  The interning
+table, the numbering's inverse list `trees.GENS` and the decoded monomials
+are plain stores that `clear_caches` empties with the tables, so no id
+outlives the numbering.  Equal values stay equal whatever object holds
+them, so a caller's own generator works as before; shared ones let
+comparisons and lookups take the identity shortcut and keep the tables
+small.
 """
 
 from __future__ import annotations

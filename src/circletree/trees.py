@@ -17,10 +17,12 @@ position tuple once per call.
 
 Every generator the package builds comes from `gen`, a memo table that
 hands out one shared `Rct` per value (the interning rule of `lincomb`); an
-`Rct(...)` a caller builds is equal to it and works everywhere.  Inside the
-antipode table and the forest sum a generator is a small int, `gen_id`, and
-`GENS` lists the generators by id; `decode` turns a tuple of ids into the
-one shared sorted monomial of generators, where a result leaves the package.
+`Rct(...)` a caller builds is equal to it and works everywhere.  Inside
+every memo table of the algebra (coproduct terms, raw counts, antipodes)
+and the forest sum a generator is a small int, `gen_id`, and `GENS` lists
+the generators by id; `GENS` and `decode`, which turns a tuple of ids into
+the one shared sorted monomial of generators, are the package edge where
+a result leaves as `Rct`.
 """
 
 from __future__ import annotations

@@ -105,6 +105,23 @@ def test_reduced_terms_are_the_tilde_terms_after_the_left_primitive_one():
             assert reduced_terms(a, m) == terms[1:] and all(right for _l, right, _k in terms[1:]), a
 
 
+def test_the_tilde_table_holds_generator_ids():
+    # the table holds (left id, sorted right id tuple, coefficient); the
+    # decoded view is the extraction sum less its primitive terms
+    hopf.clear_caches()
+    a = A(2, (0, 1, 0, 0))
+    items = coordmaps._tilde_items(*a, 2)
+    assert len(items) > 1
+    for left, right, coeff in items:
+        assert type(left) is int and type(right) is tuple and type(coeff) is int
+        assert all(type(i) is int for i in right) and list(right) == sorted(right)
+    terms = tilde_terms(a, 2)
+    assert terms[0] == (a, (), 1)
+    reference = LinComb({(left, right): k for (left, right), k in
+                         hopf.extraction_coproduct(a, 2).items() if left and right})
+    assert LinComb({((left,), right): k for left, right, k in terms[1:]}) == reference
+
+
 def test_reduced_delta_drops_both_primitive_parts():
     a = A(1, (0,))
     red = reduced_delta(a, 1)

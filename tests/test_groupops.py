@@ -5,6 +5,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from circletree import groupops
 from circletree.coordmaps import CoordMap, reduced_delta
 from circletree.groupops import (
     Character,
@@ -18,6 +19,7 @@ from circletree.groupops import (
 )
 from circletree.lincomb import LinComb
 from circletree.series import Series, add, zero_series
+from circletree.words import shuffle_into
 import suites
 from oracles import channel_poly, shuffle_polys
 
@@ -152,6 +154,26 @@ def test_group_product_worked_example():
     d = Series(2, 2, 4, {(2, (1,)): 1})
     assert group_product(c, d).coeffs == {
         (1, (2,)): Fraction(1), (1, (0, 1)): Fraction(1), (2, (1,)): Fraction(1)}
+
+
+def test_group_product_shuffles_no_cancelled_numerator(monkeypatch):
+    # under the prefix 1, x_0 prepended to 1.0 cancels x_0 shuffled in from
+    # 1.1 against the constant d, so that prefix's image holds a zero word
+    seen = []
+
+    def recording(out, p, q, cap, prefix=()):
+        seen.append(p)
+        return shuffle_into(out, p, q, cap, prefix)
+
+    monkeypatch.setattr(groupops, "shuffle_into", recording)
+    c = Series(1, 1, 3, {(1, (1, 0)): 1, (1, (1, 1)): -1, (1, (1,)): 2})
+    d = Series(1, 1, 3, {(1, ()): 1})
+    g = group_product(c, d)
+    assert seen and all(0 not in p.values() for p in seen)
+    phi, psi = Character(c), Character(d)
+    for n in range(4):
+        for word in iter_product(range(2), repeat=n):
+            assert g.coeff(1, word) == convolve(phi, psi, CoordMap(1, word)), word
 
 
 def test_group_identity_element():

@@ -392,6 +392,15 @@ def test_memoization_toggle():
     assert with_memo == without
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unmemoized_recursion_matches_the_table_and_the_forest(side, m):
+    hopf.clear_caches()
+    for c in iter_rcts(6, m):
+        raw = antipode_recursive(c, m, side, memoize=False)
+        assert raw == antipode_recursive(c, m, side) == antipode_forest(c, m), c
+
+
 def test_returned_antipodes_do_not_alias_the_memo():
     c = Rct(1, (0, 0, 1))
     routes = [lambda side: antipode_recursive(c, 2, side),
