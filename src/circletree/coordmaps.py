@@ -21,13 +21,13 @@ Tensor values share the monomial-pair convention of `hopf`: keys are
 The memo tables here follow the interning rule of `lincomb`: they hold
 maps as generator ids (`trees.gen_id`).  `_tilde_items` is keyed by
 (channel, word, m) and holds (left id, sorted right id tuple, coefficient)
-terms, each right tuple from `lincomb.intern`; the one antipode table
-`_antipode` is keyed by (id, m, side) and holds polynomials keyed by
-interned sorted id tuples, so the recursions' many products sort and hash
-ints, not tuples of generators.  Maps appear only where a result leaves:
+terms, each right tuple the shared one of the `lincomb` key store; the one
+antipode table `_antipode` is keyed by (id, m, side) and holds polynomials
+keyed by prime-product keys, so each of the recursions' many products is
+one int multiplication.  Maps appear only where a result leaves:
 `tilde_terms`, `reduced_terms`, the deltas and `antipode` decode the id
-terms into shared maps and monomials (`trees.GENS`, `trees.decode`) on
-every read.
+terms and keys into shared maps and monomials (`lincomb.ids_of`,
+`trees.GENS`, `trees.decode`) on every read.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import lincomb
-from .lincomb import LinComb, format_monomial, intern, memo
+from .lincomb import LinComb, format_monomial, ids_of, intern_with, key_of, memo, prime
 from .trees import GENS, Rct, decode, gen, gen_id
 from .trees import degree, mono_degree  # one grading for both spellings
 from .words import Word, format_word, parse_word
@@ -78,13 +78,20 @@ def _tilde_items(channel: int, word: Word, m: int) -> tuple[tuple[int, tuple[int
     if head == 0:
         # the integrator letter additionally couples to a deshuffle of the tail
         splits = _deshuffle_splits(tail).items()
+        leg_keys: dict = {}  # u -> the keys of the right legs of u's terms, once per call
         for n in range(1, m + 1):
             for (u, v), dcoeff in splits:
-                vn = (gen_id(n, v),)
-                for left, right, coeff in _tilde_items(channel, u, m):
-                    key = (gen_id(channel, (n,) + GENS[left].word), tuple(sorted(right + vn)))
+                vid = gen_id(n, v)
+                pv = prime(vid)
+                terms = _tilde_items(channel, u, m)
+                keys = leg_keys.get(u)
+                if keys is None:
+                    keys = leg_keys[u] = [key_of(right) for _left, right, _coeff in terms]
+                for (left, right, coeff), rk in zip(terms, keys):
+                    key = (gen_id(channel, (n,) + GENS[left].word), intern_with(right, vid, rk * pv))
                     acc[key] = get(key, 0) + coeff * dcoeff
-    return tuple((left, intern(right), coeff) for (left, right), coeff in acc.items())
+    # every right leg is interned: those of the tail's terms already were
+    return tuple((left, right, coeff) for (left, right), coeff in acc.items())
 
 
 def reduced_items(i: int, m: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
@@ -133,14 +140,14 @@ def reduced_terms(a: CoordMap, m: int) -> tuple[tuple[CoordMap, CMono, int], ...
 def _antipode(i: int, m: int, side: str) -> LinComb:
     """The one antipode table of the package: trees and coordinate maps
     are one generator type, so `hopf` reads the same entries.  An entry is
-    the antipode of the map with id `i`, keyed by sorted id tuples, each
-    interned once here; the step reads the reduced id terms as they are."""
-    step = lincomb.antipode_step(i, reduced_items(i, m), side, lambda j: _antipode(j, m, side))
-    return LinComb({intern(mono): k for mono, k in step.items()})
+    the antipode of the map with id `i`, keyed by prime-product keys whose
+    id tuples the step records in the `lincomb` key store; the step reads
+    the reduced id terms as they are."""
+    return lincomb.antipode_step(i, reduced_items(i, m), side, lambda j: _antipode(j, m, side))
 
 
 def antipode(a: CoordMap, m: int, side: str = "right") -> LinComb:
-    return LinComb({decode(ids): k for ids, k in _antipode(gen_id(*a), m, side).items()})
+    return LinComb({decode(ids_of(key)): k for key, k in _antipode(gen_id(*a), m, side).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,22 @@ forest formula does.  The antipode comes three ways:
 * the closed forest formula, one signed monomial per general extraction
   and labelling, never mixing signs on a monomial: the independent oracle
   of the recursions.  Its blocks are bitmasks and its factors generator
-  ids (`trees.gen_id`); `antipode_forest` counts the sorted id tuples and
-  decodes each distinct monomial once, and `forest_signed_terms` lists the
-  blocks as position subsets, and decodes each term, for the sign-purity
-  check.
+  ids (`trees.gen_id`); `antipode_forest` counts the sorted id tuples with
+  `Counter` and decodes each distinct monomial once, and
+  `forest_signed_terms` lists the blocks as position subsets, and decodes
+  each term, for the sign-purity check.  The forest keeps id tuples: it
+  shares no monomial format with the antipode table.
 
 Trees and coordinate maps are one generator type (`CoordMap` is `Rct`),
 so both recursions read the combined id terms `coordmaps.reduced_items`
 with no relabelling, and the memoized ones fill and read the one
 `coordmaps._antipode` table, keyed by (generator id, m, side) and holding
-polynomials in generator ids that `coordmaps.antipode` decodes; only the
-formatter (`1:0.0` here, `a[1;0.0]` there) tells the sides apart.  Pass
-memoize=False to `antipode_recursive` to force the raw expansion, e.g. to
-time it; it too runs on ids and decodes once, at the end.
+polynomials keyed by the prime-product keys of `lincomb`, which
+`coordmaps.antipode` decodes; only the formatter (`1:0.0` here,
+`a[1;0.0]` there) tells the sides apart.  Pass memoize=False to
+`antipode_recursive` to force the raw expansion, e.g. to time it; it runs
+the same step on ids and keys, fills no table and decodes once, at the
+end.
 `antipode_stats` counts the raw terms of either recursion from the
 combined terms k l (x) r_1...r_n: g(a) = 1 + sum k g(l) on the left, and on
 the right M(a) = 1 + sum k M(r_1)...M(r_n), the number of forest terms;
@@ -47,8 +50,8 @@ from typing import Iterator, NamedTuple
 
 from . import coordmaps, lincomb
 from .coordmaps import reduced_items, reduced_terms
-from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, memo,
-                      mono_mul, mono_sort_key, nonzero)
+from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, ids_of,
+                      memo, mono_mul, mono_sort_key, nonzero)
 from .trees import (Rct, Word, bit_indices, block_tree, decode, degree, format_rct, gen,
                     gen_id, labelled_extractions, mono_degree)
 
@@ -110,7 +113,7 @@ def antipode_recursive(c: Rct, m: int, side: str = "right", memoize: bool = True
     def raw(i: int) -> LinComb:
         return lincomb.antipode_step(i, reduced_items(i, m), side, raw)
 
-    return LinComb({decode(ids): k for ids, k in raw(gen_id(*c)).items()})
+    return LinComb({decode(ids_of(key)): k for key, k in raw(gen_id(*c)).items()})
 
 
 def antipode_poly(p: LinComb, m: int, method: str = "right") -> LinComb:

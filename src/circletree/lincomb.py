@@ -9,28 +9,34 @@ dicts exactly when they are equal as algebraic elements.
 The monomial algebra and the antipode step below are shared by the
 circle-tree and the coordinate-map algebras.  The step and `poly_mul`,
 the hot loops of both antipodes, add each term into a plain dict under
-its sorted monomial and drop the zeros once, on return.  Every memo
-table of the package is made by `memo`, and every plain store the tables
-share or index is passed to `memo_store`; both register it, so that
-`clear_caches` empties them all.
+its monomial and drop the zeros once, on return.  Every memo table of the
+package is made by `memo`, and every plain store the tables share or
+index is passed to `memo_store`; both register it, so that `clear_caches`
+empties them all.
 
 Interning rule: a memo table stores one shared object per value.  Every
 memo table of the algebra holds small int generator ids (`trees.gen_id`),
 not generators: the coproduct terms, the raw counts and the antipode
 entries, and the forest sum and the unmemoized recursion compute on ids
-too, so the hot loops sort and hash ints.  A monomial that a table keeps
-(a right leg of the coproduct terms, an antipode key) is a sorted id tuple
-that passes once through `intern`; a monomial generated and combined within
-one call is not interned, so the unmemoized route does no interning work.
-A generator (`trees.Rct`, from `trees.gen`) appears only at the package
-edge: a result leaves through `trees.GENS` and `trees.decode`, which hands
-out one interned sorted tuple of generators per id tuple.  The interning
-table, the numbering's inverse list `trees.GENS` and the decoded monomials
-are plain stores that `clear_caches` empties with the tables, so no id
-outlives the numbering.  Equal values stay equal whatever object holds
-them, so a caller's own generator works as before; shared ones let
-comparisons and lookups take the identity shortcut and keep the tables
-small.
+too.  The antipode step keys a monomial by its prime-product key (below):
+the product of the primes of its factors' ids, so a product of monomials
+is one int multiplication and unique factorization keeps the key exact.
+The one store `_INTERNED` maps a key to its one shared int and the one
+shared sorted id tuple of that monomial; a key is recorded there the
+first time any step meets it, its tuple the operand's tuple merged with
+the other operand's ids by one sort, and every later step stores the
+shared int, so the tables hold one int per monomial, not one per entry.
+The right legs of the coproduct terms are interned through it too.  The forest sum and the tuple functions (`poly_mul`, `mono_mul`,
+`antipode_poly`) keep sorted tuples.  A generator (`trees.Rct`, from
+`trees.gen`) appears only at the package edge: a key leaves through
+`ids_of`, then `trees.GENS` and `trees.decode`, which hands out one shared
+sorted tuple of generators per id tuple.  The key store, the numbering's
+inverse list `trees.GENS` and the decoded monomials are plain stores that
+`clear_caches` empties with the tables, so no id outlives the numbering;
+the prime list depends on nothing and stays.  Equal values stay equal
+whatever object holds them, so a caller's own generator works as before;
+shared ones let comparisons and lookups take the identity shortcut and
+keep the tables small.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress
+from math import isqrt, prod
 
 _MEMO_TABLES: list = []
 _MEMO_STORES: list = []  # plain dicts and lists that live as long as the tables
@@ -68,13 +76,67 @@ def clear_caches() -> None:
         store.clear()
 
 
+# ---------------------------------------------------------------------------
+# prime-product keys: generator id i has the i-th prime, and a multiset of
+# ids is keyed by the product of its factors' primes (the unit () by 1), so
+# a product of monomials is one int multiplication; unique factorization
+# makes the key exact.  The i-th prime depends on i alone, so the prime list
+# is no memo store: it grows, by sieving a doubled range, as far as the
+# largest numbering built.
+
+_PRIMES: list[int] = []
+
+
+def _sieve(limit: int) -> None:
+    """Make `_PRIMES` the primes below `limit`."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    _PRIMES[:] = compress(range(limit), sieve)
+
+
+_prime_at = _PRIMES.__getitem__  # `_sieve` refills the one list in place
+
+
+def prime(i: int) -> int:
+    """The prime of the generator id `i`: 2, 3, 5, ... for 0, 1, 2, ..."""
+    try:
+        return _prime_at(i)
+    except IndexError:
+        while i >= len(_PRIMES):
+            _sieve(2 * _PRIMES[-1] if _PRIMES else 64)  # Bertrand: a new prime each time
+        return _PRIMES[i]
+
+
+def key_of(ids: tuple) -> int:
+    """The key of a multiset of generator ids: the product of their primes."""
+    try:
+        return prod(map(_prime_at, ids))
+    except IndexError:
+        prime(max(ids))
+        return prod(map(_prime_at, ids))
+
+
+# key -> (the one shared int of that key, the one shared sorted id tuple of
+# that monomial), the first ones met since the tables were last cleared:
+# the antipode entries share the ints, the coproduct terms the tuples
 _INTERNED: dict = memo_store({})
 
 
-def intern(value):
-    """The one shared object equal to `value`: the first one met since the
-    tables were last cleared."""
-    return _INTERNED.setdefault(value, value)
+def ids_of(key: int) -> tuple:
+    """The sorted id tuple of a stored key, for the package edge."""
+    return _INTERNED[key][1]
+
+
+def intern_with(ids: tuple, i: int, key: int) -> tuple:
+    """The one shared sorted id tuple of `ids` and one more id `i`, whose key
+    `key` is `key_of(ids) * prime(i)`, so a tuple met before costs no sort."""
+    entry = _INTERNED.get(key)
+    if entry is None:
+        entry = _INTERNED[key] = (key, tuple(sorted(ids + (i,))))
+    return entry[1]
 
 
 class LinComb(dict):
@@ -161,29 +223,71 @@ def mono_sort_key(mono: tuple):
     return (len(mono), mono)
 
 
-def antipode_step(x, reduced_terms, side: str, antipode_of) -> LinComb:
+def _key_mul(p: dict, q: dict) -> dict:
+    """The product of two polynomials keyed by prime-product keys, each key
+    the shared one of `_INTERNED`, where a new key records its sorted id
+    tuple.  Zeros are kept: the caller drops them once."""
+    store = _INTERNED
+    out: dict = {}
+    get = out.get
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            key = ka * kb
+            old = get(key)
+            if old is None:
+                entry = store.get(key)
+                if entry is None:
+                    store[key] = (key, tuple(sorted(store[ka][1] + store[kb][1])))
+                else:
+                    key = entry[0]
+                out[key] = ca * cb
+            else:
+                out[key] = old + ca * cb
+    return out
+
+
+def antipode_step(x: int, reduced_terms, side: str, antipode_of) -> LinComb:
     """S(x) = -x - sum S(l) r (left) or -x - sum l S(r_1)...S(r_n) (right) over
-    the (l, r, coeff) terms of the reduced coproduct of x; `antipode_of` gives
-    the antipode of a smaller generator, memoized or not, and is only read."""
+    the (l, r, coeff) terms of the reduced coproduct of the generator id x (l
+    an id, r a sorted id tuple); `antipode_of` gives the antipode of a smaller
+    generator id, memoized or not, and is only read.  Antipodes are keyed by
+    prime-product keys, so each product is one int multiplication.  A key
+    new to the step is looked up in `_INTERNED` once: a stored key is
+    replaced by its shared int, and a new one records its sorted id tuple,
+    the operand's tuple merged with the other operand's ids by one sort."""
     if side not in {"left", "right"}:
         raise ValueError(f"side must be left or right, got {side!r}")
-    acc = {(x,): -1}
+    store = _INTERNED
+    px = prime(x)
+    px = store.setdefault(px, (px, (x,)))[0]
+    acc = {px: -1}
     get = acc.get
-    if side == "left":
-        for left, right, coeff in reduced_terms:
-            for mono, k in antipode_of(left).items():
-                key = tuple(sorted(mono + right))
-                acc[key] = get(key, 0) - coeff * k
-    else:
-        products: dict = {}  # S(r_1)...S(r_n), once per right leg; a reduced leg is not 1
-        for left, right, coeff in reduced_terms:
-            prod = products.get(right)
-            if prod is None:
-                prod = products[right] = reduce(
-                    poly_mul, map(antipode_of, right[1:]), antipode_of(right[0]))
-            for mono, k in prod.items():
-                key = tuple(sorted((left,) + mono))
-                acc[key] = get(key, 0) - coeff * k
+    legs: dict = {}  # per distinct right leg: its key (left) or S(r_1)...S(r_n) (right)
+    for left, right, coeff in reduced_terms:
+        if side == "left":
+            poly, ids = antipode_of(left), right
+            factor = legs.get(right)
+            if factor is None:
+                factor = legs[right] = key_of(right)
+        else:
+            poly = legs.get(right)
+            if poly is None:  # a reduced leg is not 1
+                poly = legs[right] = reduce(
+                    _key_mul, map(antipode_of, right[1:]), antipode_of(right[0]))
+            factor, ids = prime(left), (left,)
+        neg = -coeff
+        for mono, k in poly.items():
+            key = mono * factor
+            old = get(key)
+            if old is None:
+                entry = store.get(key)
+                if entry is None:
+                    store[key] = (key, tuple(sorted(store[mono][1] + ids)))
+                else:
+                    key = entry[0]
+                acc[key] = neg * k
+            else:
+                acc[key] = old + neg * k
     return nonzero(acc)
 
 

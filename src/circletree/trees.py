@@ -20,16 +20,17 @@ hands out one shared `Rct` per value (the interning rule of `lincomb`); an
 `Rct(...)` a caller builds is equal to it and works everywhere.  Inside
 every memo table of the algebra (coproduct terms, raw counts, antipodes)
 and the forest sum a generator is a small int, `gen_id`, and `GENS` lists
-the generators by id; `GENS` and `decode`, which turns a tuple of ids into
-the one shared sorted monomial of generators, are the package edge where
-a result leaves as `Rct`.
+the generators by id; the antipode table keys its monomials by products
+of the ids' primes, which `lincomb` alone reads.  `GENS` and `decode`,
+which turns a sorted tuple of ids into the one shared sorted monomial of
+generators, are the package edge where a result leaves as `Rct`.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .lincomb import intern, memo, memo_store
+from .lincomb import memo, memo_store
 from .words import Word, format_word, parse_word, word_degree
 
 Subset = tuple[int, ...]
@@ -68,11 +69,11 @@ _DECODED: dict = memo_store({})
 
 
 def decode(ids: tuple[int, ...]) -> tuple[Rct, ...]:
-    """The one shared sorted monomial of the generators with these ids,
-    memoized by id tuple."""
+    """The one shared sorted monomial of the generators with these sorted
+    ids, memoized by id tuple."""
     mono = _DECODED.get(ids)
     if mono is None:
-        mono = _DECODED[ids] = intern(tuple(sorted([GENS[i] for i in ids])))
+        mono = _DECODED[ids] = tuple(sorted([GENS[i] for i in ids]))
     return mono
 
 

@@ -194,10 +194,15 @@ def test_no_zero_coefficient_is_stored():
     # no step of the algebra below cancels a monomial outright, so these inputs do
     u, v, x = Rct(1, ()), Rct(2, ()), Rct(1, (0,))
     assert lincomb.poly_mul({(u,): 1, (v,): 1}, {(u,): 1, (v,): -1}) == {(u, u): 1, (v, v): -1}
+    # the step runs on generator ids, its polynomials keyed by prime-product keys
+    iu, iv, ix = (trees.gen_id(*g) for g in (u, v, x))
+    single = {i: lincomb.prime(i) for i in (iu, iv, ix)}
+    assert [lincomb.intern_with((), i, key) for i, key in single.items()] == [(iu,), (iv,), (ix,)]
     for side in ("left", "right"):
-        cancelling = [(u, (v,), 1), (u, (v,), -1)]
-        step = lincomb.antipode_step(x, cancelling, side, lambda g: LinComb({(g,): -1}))
-        assert step == {(x,): -1}, side
+        cancelling = [(iu, (iv,), 1), (iu, (iv,), -1)]
+        step = lincomb.antipode_step(ix, cancelling, side, lambda g: LinComb({single[g]: -1}))
+        assert step == {single[ix]: -1}, side
+        assert trees.decode(lincomb.ids_of(single[ix])) == (x,)
     for c in iter_rcts(8, 2):
         polys = [hopf.antipode(c, 2, method) for method in ("left", "right", "forest")]
         polys += [coordmaps.antipode(c, 2, side) for side in ("left", "right")]
@@ -227,13 +232,15 @@ def test_forest_equals_both_recursions_at_degree_15():
 
 def _extraction_right_antipode(c, m, table):
     """Right recursion over the reduced terms of the extraction sum, a route
-    that shares no coproduct table with `hopf.antipode`."""
-    if c not in table:
-        terms = [(left[0], right, k)
+    that shares no coproduct table with `hopf.antipode`; the step reads the
+    terms as generator ids and sorted id tuples."""
+    i = trees.gen_id(*c)
+    if i not in table:
+        terms = [(trees.gen_id(*left[0]), tuple(sorted(trees.gen_id(*r) for r in right)), k)
                  for (left, right), k in hopf.extraction_coproduct(c, m).items() if left and right]
-        table[c] = lincomb.antipode_step(
-            c, terms, "right", lambda x: _extraction_right_antipode(x, m, table))
-    return table[c]
+        table[i] = lincomb.antipode_step(
+            i, terms, "right", lambda j: _extraction_right_antipode(trees.GENS[j], m, table))
+    return table[i]
 
 
 def test_table1_past_the_paper():
@@ -312,9 +319,14 @@ def test_generator_ids_live_only_as_long_as_the_tables():
                    for c in iter_rcts(5, 2)]
         return results, len(trees.GENS), trees.gen_id.cache_info().currsize
 
+    def first_keys():
+        first = trees.gen_id(*next(iter_rcts(5, 2)))
+        return [list(coordmaps._antipode(first, 2, side)) for side in ("left", "right")]
+
     hopf.clear_caches()
     results, size, ids = sweep()
     assert size == ids > 0
+    keys = first_keys()
     # the interned monomials, the numbering's inverse and the decoded monomials
     stores = [lincomb._INTERNED, trees.GENS, trees._DECODED]
     assert list(map(id, lincomb._MEMO_STORES)) == list(map(id, stores))
@@ -323,6 +335,8 @@ def test_generator_ids_live_only_as_long_as_the_tables():
     assert trees.gen_id.cache_info().currsize == 0 and not any(stores)
     # a second cycle numbers the same generators afresh, to the same size
     assert sweep() == (results, size, ids)
+    # and keys the first swept generator's antipode entries by the same ints
+    assert first_keys() == keys
 
 
 def _assert_one_object_per_value(c: Rct) -> list:
@@ -350,6 +364,16 @@ def test_generators_and_stored_monomials_are_shared():
     hopf.clear_caches()
     assert _assert_one_object_per_value(Rct(2, (0, 1, 0, 0))) == shared
     assert _assert_one_object_per_value(c) == shared  # and on a warm table
+
+
+def test_antipode_entries_share_their_key_ints():
+    # one int object per key across the left and right entries of every generator
+    hopf.clear_caches()
+    for c in iter_rcts(7, 2):
+        coordmaps.antipode(c, 2, "left"), coordmaps.antipode(c, 2, "right")
+    keys = [key for i in range(len(trees.GENS)) for side in ("left", "right")
+            for key in coordmaps._antipode(i, 2, side)]
+    assert len(set(map(id, keys))) == len(set(keys)) < len(keys)
 
 
 def test_one_memo_entry_serves_trees_and_coordinate_maps():

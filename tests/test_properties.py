@@ -1,4 +1,5 @@
-"""Property tests (hypothesis) on the series-level identities.
+"""Property tests (hypothesis) on the series-level identities and on the
+prime-product monomial keys of the antipode table.
 
 They add to the seeded random trials of the other test files.  The
 settings are fixed and derandomized, so every run draws the same
@@ -6,6 +7,7 @@ examples and stays deterministic.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -20,6 +22,7 @@ from circletree.groupops import (
     hat_compose,
     mod_compose,
 )
+from circletree import lincomb
 from circletree.lincomb import LinComb
 from circletree.series import Series, add, shuffle_product
 from circletree.words import shuffle
@@ -117,6 +120,39 @@ def test_shuffle_polys_drops_cancelled_terms(a, max_len):
     q = LinComb({(1,): 1, (2,): Fraction(1)})
     expected = {} if max_len == 1 else {(1, 1): 2 * a, (2, 2): -2 * a}
     assert shuffle_polys(p, q, max_len) == expected
+
+
+id_multisets = st.lists(st.integers(0, 59), max_size=5).map(tuple)
+
+
+def stored_key(ids: tuple) -> int:
+    """Record the multiset `ids` in the key store one id at a time, in the
+    order given, as the coproduct table does; return its key."""
+    key, merged = 1, ()
+    for i in ids:
+        key *= lincomb.prime(i)
+        merged = lincomb.intern_with(merged, i, key)
+    assert merged == tuple(sorted(ids))
+    return key
+
+
+@FIXED
+@given(id_multisets, id_multisets)
+def test_prime_product_keys_are_exact(a, b):
+    key_a, key_b = stored_key(a), stored_key(b)
+    merged = tuple(sorted(a + b))
+    assert key_a == lincomb.key_of(a) and key_b == lincomb.key_of(b)
+    assert key_a * key_b == lincomb.key_of(merged)
+    assert (key_a == key_b) == (sorted(a) == sorted(b))
+    if a or b:  # the store holds the monomials the algebra meets, never the unit 1
+        # a product key records (or finds) the sorted merge of its operands' ids
+        assert lincomb._key_mul({key_a: 1}, {key_b: 1}) == {key_a * key_b: 1}
+        assert lincomb.ids_of(key_a * key_b) == merged
+
+
+def test_prime_product_keys_are_injective_on_small_multisets():
+    multisets = [ids for n in range(4) for ids in combinations_with_replacement(range(40), n)]
+    assert len({lincomb.key_of(ids) for ids in multisets}) == len(multisets) == 12341
 
 
 @pytest.mark.parametrize("m", [1, 2])
