@@ -27,7 +27,12 @@ keyed by prime-product keys, so each of the recursions' many products is
 one int multiplication.  Maps appear only where a result leaves:
 `tilde_terms`, `reduced_terms`, the deltas and `antipode` decode the id
 terms and keys into shared maps and monomials (`lincomb.ids_of`,
-`trees.GENS`, `trees.decode`) on every read.
+`trees.GENS`, `trees.decode`) on every read.  So a warm read pays the
+edge again, on purpose: a decoded copy kept beside each entry would hold
+every table twice.  Measured on a 2-vCPU shared host with Python 3.11, a
+warm `antipode` read costs about 0.3 us per monomial (0.12 ms for the 390
+of a[1;0.0.0.0.0.0] at m=1) and a warm `tilde_terms` read about 0.2 us
+per term.
 """
 
 from __future__ import annotations

@@ -18,12 +18,19 @@ forest formula does.  The antipode comes three ways:
   its raw expansion cancels heavily, which `antipode_stats` counts;
 * the closed forest formula, one signed monomial per general extraction
   and labelling, never mixing signs on a monomial: the independent oracle
-  of the recursions.  Its blocks are bitmasks and its factors generator
-  ids (`trees.gen_id`); `antipode_forest` counts the sorted id tuples with
-  `Counter` and decodes each distinct monomial once, and
-  `forest_signed_terms` lists the blocks as position subsets, and decodes
-  each term, for the sign-purity check.  The forest keeps id tuples: it
-  shares no monomial format with the antipode table.
+  of the recursions.  Two walks read the labelled families of the kernel.
+  `antipode_forest` carries one prime-product key per term (the product
+  of `lincomb.prime` of its factors' generator ids, `trees.gen_id`), so
+  joining a block's inner terms is one int multiplication, and a block
+  with one inner term is folded into one key per family; it counts the
+  keys with `Counter`, sorts each key's ids once, in a dict of the call,
+  and decodes each distinct monomial once.  `forest_signed_terms` carries
+  each term's blocks (bitmasks) and factor ids instead, and lists the
+  blocks as position subsets for the sign-purity check and the family
+  test; a code for the blocks carried beside each key, so that one walk
+  served both, cost the sum more than the keys save.  Neither walk reads
+  the `lincomb` key store or a memo table other than `gen_id`, so a wrong
+  shared entry shows as a disagreement with the recursions.
 
 Trees and coordinate maps are one generator type (`CoordMap` is `Rct`),
 so both recursions read the combined id terms `coordmaps.reduced_items`
@@ -51,7 +58,7 @@ from typing import Iterator, NamedTuple
 from . import coordmaps, lincomb
 from .coordmaps import reduced_items, reduced_terms
 from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, ids_of,
-                      memo, mono_mul, mono_sort_key, nonzero)
+                      memo, mono_mul, mono_sort_key, nonzero, prime)
 from .trees import (Rct, Word, bit_indices, block_tree, decode, degree, format_rct, gen,
                     gen_id, labelled_extractions, mono_degree)
 
@@ -158,12 +165,65 @@ def forest_signed_terms(c: Rct, m: int) -> Iterator[tuple[tuple, Monomial, int]]
         yield tuple(subsets), decode(tuple(sorted(factors))), 1 if len(blocks) % 2 else -1
 
 
+def _forest_keys(word: Word, mask: int, root: int, m: int, seen: dict, ids_of_key: dict) -> list:
+    """The prime-product key (`lincomb.prime`) of every labelled general
+    family of `_forest_terms`, with nothing else carried per term, so joining
+    a block's inner terms is one int multiplication per product.
+    `ids_of_key` maps each key formed so far to its sorted id tuple, built by
+    one sort when the key is first formed.  `seen` holds each (block, label)
+    key list met so far and, keyed by the mask alone, what a top-level
+    family gives whatever the root label: its quotient word, the product of
+    the keys of its one-term blocks, and the key lists of its other blocks."""
+    families = seen.get(mask)
+    if families is None:
+        families = seen[mask] = []
+        for family, labels, qword in labelled_extractions(word, mask, m):
+            fixed, lists = 1, []
+            for block, label in zip(family, labels):
+                inner = seen.get((block, label))
+                if inner is None:
+                    inner = seen[block, label] = _forest_keys(
+                        word, block & (block - 1), label, m, seen, ids_of_key)
+                if len(inner) == 1:
+                    key = fixed * inner[0]
+                    if key not in ids_of_key:
+                        ids_of_key[key] = tuple(sorted(ids_of_key[fixed] + ids_of_key[inner[0]]))
+                    fixed = key
+                else:
+                    lists.append(inner)
+            families.append((qword, fixed, lists))
+    out = []
+    for qword, fixed, lists in families:
+        i = gen_id(root, qword)
+        key = prime(i) * fixed
+        if key not in ids_of_key:
+            ids_of_key[key] = tuple(sorted(ids_of_key[fixed] + (i,)))
+        keys = [key]
+        for inner in lists:
+            joined = []
+            for a in keys:
+                for b in inner:
+                    key = a * b
+                    if key not in ids_of_key:
+                        ids_of_key[key] = tuple(sorted(ids_of_key[a] + ids_of_key[b]))
+                    joined.append(key)
+            keys = joined
+        out += keys
+    return out
+
+
 def antipode_forest(c: Rct, m: int) -> LinComb:
     """Sum of the forest terms; a term of n factors has sign (-1)^n, so no
-    two terms cancel and each monomial's coefficient is its count, signed."""
-    counts = Counter(tuple(sorted(factors)) for _blocks, factors
-                     in _forest_terms(c.word, (1 << len(c.word)) - 1, c.root, m, {}))
-    return LinComb({decode(ids): -k if len(ids) % 2 else k for ids, k in counts.items()})
+    two terms cancel and each monomial's coefficient is its count, signed.
+    The keys are counted as they are and each distinct one decoded once,
+    through the id tuples of this call alone, not the `lincomb` key store."""
+    ids_of_key: dict = {1: ()}
+    counts = Counter(_forest_keys(c.word, (1 << len(c.word)) - 1, c.root, m, {}, ids_of_key))
+    out = LinComb()
+    for key, k in counts.items():
+        ids = ids_of_key[key]
+        out[decode(ids)] = -k if len(ids) % 2 else k
+    return out
 
 
 def antipode(c: Rct, m: int, method: str = "right") -> LinComb:

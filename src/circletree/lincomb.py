@@ -18,19 +18,24 @@ Interning rule: a memo table stores one shared object per value.  Every
 memo table of the algebra holds small int generator ids (`trees.gen_id`),
 not generators: the coproduct terms, the raw counts and the antipode
 entries, and the forest sum and the unmemoized recursion compute on ids
-too.  The antipode step keys a monomial by its prime-product key (below):
-the product of the primes of its factors' ids, so a product of monomials
-is one int multiplication and unique factorization keeps the key exact.
-The one store `_INTERNED` maps a key to its one shared int and the one
-shared sorted id tuple of that monomial; a key is recorded there the
-first time any step meets it, its tuple the operand's tuple merged with
-the other operand's ids by one sort, and every later step stores the
-shared int, so the tables hold one int per monomial, not one per entry.
-The right legs of the coproduct terms are interned through it too.  The forest sum and the tuple functions (`poly_mul`, `mono_mul`,
-`antipode_poly`) keep sorted tuples.  A generator (`trees.Rct`, from
-`trees.gen`) appears only at the package edge: a key leaves through
-`ids_of`, then `trees.GENS` and `trees.decode`, which hands out one shared
-sorted tuple of generators per id tuple.  The key store, the numbering's
+too.  The antipode step and the forest sum key a monomial by its
+prime-product key (below): the product of the primes of its factors'
+ids, so a product of monomials is one int multiplication and unique
+factorization keeps the key exact.  The one store `_INTERNED` maps a key
+to its one shared int and the one shared sorted id tuple of that
+monomial.  It holds three kinds of key: those of antipode entries, those
+of the coproduct terms' right legs, and the generators' primes.  A key is
+recorded the first time a step or a leg meets it, its tuple the
+operand's tuple merged with the other operand's ids by one sort, and
+every later step stores the shared int, so the tables hold one int per
+monomial, not one per entry.  The leg products of a right step, which no
+table keeps, live in a dict of that step, and the forest sum sorts its
+keys' ids in a dict of its own call, so it checks the store and never
+reads it.  The tuple functions (`poly_mul`, `mono_mul`, `antipode_poly`)
+keep sorted tuples.  A generator (`trees.Rct`, from `trees.gen`) appears
+only at the package edge: a key leaves through `ids_of`, then
+`trees.GENS` and `trees.decode`, which hands out one shared sorted tuple
+of generators per id tuple.  The key store, the numbering's
 inverse list `trees.GENS` and the decoded monomials are plain stores that
 `clear_caches` empties with the tables, so no id outlives the numbering;
 the prime list depends on nothing and stays.  Equal values stay equal
@@ -223,11 +228,16 @@ def mono_sort_key(mono: tuple):
     return (len(mono), mono)
 
 
-def _key_mul(p: dict, q: dict) -> dict:
-    """The product of two polynomials keyed by prime-product keys, each key
-    the shared one of `_INTERNED`, where a new key records its sorted id
-    tuple.  Zeros are kept: the caller drops them once."""
+def _key_mul(p: dict, q: dict, partial: dict | None = None) -> dict:
+    """The product of two polynomials keyed by prime-product keys, `q` an
+    antipode entry.  A key the store holds is replaced by its shared int; a
+    new key records its entry, its sorted id tuple by one sort, in
+    `partial`, the step-local store of the products no table keeps, or in
+    the store when none is given.  Zeros are kept: the caller drops them
+    once."""
     store = _INTERNED
+    if partial is None:
+        partial = store
     out: dict = {}
     get = out.get
     for ka, ca in p.items():
@@ -235,11 +245,11 @@ def _key_mul(p: dict, q: dict) -> dict:
             key = ka * kb
             old = get(key)
             if old is None:
-                entry = store.get(key)
+                entry = store.get(key) or partial.get(key)
                 if entry is None:
-                    store[key] = (key, tuple(sorted(store[ka][1] + store[kb][1])))
-                else:
-                    key = entry[0]
+                    ids = (store.get(ka) or partial[ka])[1] + store[kb][1]
+                    entry = partial[key] = (key, tuple(sorted(ids)))
+                key = entry[0]
                 out[key] = ca * cb
             else:
                 out[key] = old + ca * cb
@@ -254,7 +264,10 @@ def antipode_step(x: int, reduced_terms, side: str, antipode_of) -> LinComb:
     prime-product keys, so each product is one int multiplication.  A key
     new to the step is looked up in `_INTERNED` once: a stored key is
     replaced by its shared int, and a new one records its sorted id tuple,
-    the operand's tuple merged with the other operand's ids by one sort."""
+    the operand's tuple merged with the other operand's ids by one sort.
+    A right leg's products S(r_1)...S(r_k), which no table keeps, record
+    theirs in a dict of the step alone, so the store holds only the keys of
+    table entries and coproduct legs and the generators' primes."""
     if side not in {"left", "right"}:
         raise ValueError(f"side must be left or right, got {side!r}")
     store = _INTERNED
@@ -263,6 +276,7 @@ def antipode_step(x: int, reduced_terms, side: str, antipode_of) -> LinComb:
     acc = {px: -1}
     get = acc.get
     legs: dict = {}  # per distinct right leg: its key (left) or S(r_1)...S(r_n) (right)
+    partial: dict = {}  # key -> entry of a leg product the store does not hold
     for left, right, coeff in reduced_terms:
         if side == "left":
             poly, ids = antipode_of(left), right
@@ -272,8 +286,8 @@ def antipode_step(x: int, reduced_terms, side: str, antipode_of) -> LinComb:
         else:
             poly = legs.get(right)
             if poly is None:  # a reduced leg is not 1
-                poly = legs[right] = reduce(
-                    _key_mul, map(antipode_of, right[1:]), antipode_of(right[0]))
+                poly = legs[right] = reduce(lambda p, q: _key_mul(p, q, partial),
+                                            map(antipode_of, right[1:]), antipode_of(right[0]))
             factor, ids = prime(left), (left,)
         neg = -coeff
         for mono, k in poly.items():
@@ -282,7 +296,7 @@ def antipode_step(x: int, reduced_terms, side: str, antipode_of) -> LinComb:
             if old is None:
                 entry = store.get(key)
                 if entry is None:
-                    store[key] = (key, tuple(sorted(store[mono][1] + ids)))
+                    store[key] = (key, tuple(sorted((store.get(mono) or partial[mono])[1] + ids)))
                 else:
                     key = entry[0]
                 acc[key] = neg * k

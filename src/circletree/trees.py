@@ -20,10 +20,12 @@ hands out one shared `Rct` per value (the interning rule of `lincomb`); an
 `Rct(...)` a caller builds is equal to it and works everywhere.  Inside
 every memo table of the algebra (coproduct terms, raw counts, antipodes)
 and the forest sum a generator is a small int, `gen_id`, and `GENS` lists
-the generators by id; the antipode table keys its monomials by products
-of the ids' primes, which `lincomb` alone reads.  `GENS` and `decode`,
-which turns a sorted tuple of ids into the one shared sorted monomial of
-generators, are the package edge where a result leaves as `Rct`.
+the generators by id.  The antipode table and the forest sum key their
+monomials by products of the ids' primes (`lincomb.prime`): the table
+finds a key's ids in the key store of `lincomb`, the forest sum in a dict
+of its own call.  `GENS` and `decode`, which turns a sorted tuple of ids
+into the one shared sorted monomial of generators, are the package edge
+where a result leaves as `Rct`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 import pytest
 
-from circletree import checks, coordmaps, hopf, trees
+from circletree import checks, coordmaps, hopf, lincomb, trees
 from circletree.coordmaps import (
     CoordMap,
     antipode,
@@ -173,6 +173,29 @@ def test_iso_antipode_catches_a_tampered_coordinate_map_antipode(monkeypatch, si
     monkeypatch.setattr(coordmaps, "antipode", tampered)
     with pytest.raises(AssertionError, match="differ from the forest"):
         checks.check_iso_antipode(4, 2)
+
+
+def test_iso_antipode_catches_a_wrong_key_store_entry():
+    # a stored key that names another monomial misleads both recursions,
+    # which decode through the shared store; the forest formula does not
+    hopf.clear_caches()
+    try:
+        checks.check_iso_antipode(4, 2)
+        entry = coordmaps._antipode(trees.gen_id(2, (0, 1)), 2, "right")
+        key, other = list(entry)[-2:]
+        lincomb._INTERNED[key] = (key, lincomb.ids_of(other))
+        with pytest.raises(AssertionError, match="differ from the forest"):
+            checks.check_iso_antipode(4, 2)
+    finally:
+        hopf.clear_caches()
+
+
+def test_forest_formula_leaves_the_key_store_empty():
+    hopf.clear_caches()
+    for c in iter_rcts(6, 2):
+        hopf.antipode_forest(c, 2)
+    assert not lincomb._INTERNED
+    hopf.clear_caches()
 
 
 def test_text_format():

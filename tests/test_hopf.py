@@ -223,6 +223,17 @@ def test_forest_families_are_the_general_families():
             assert antipode_stats(c, m, "forest").generated == len(families), c
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_forest_listing_sums_to_the_forest_antipode(m):
+    # the listing and the sum walk the families apart; summed, the listed
+    # signed monomials are the sum
+    for c in iter_rcts(8, m):
+        listed = LinComb()
+        for _family, mono, sign in forest_signed_terms(c, m):
+            listed.add_term(mono, sign)
+        assert listed == antipode_forest(c, m), c
+
+
 def test_forest_equals_both_recursions_at_degree_15():
     c = Rct(1, (0,) * 7)
     forest = antipode_forest(c, 1)
@@ -337,6 +348,26 @@ def test_generator_ids_live_only_as_long_as_the_tables():
     assert sweep() == (results, size, ids)
     # and keys the first swept generator's antipode entries by the same ints
     assert first_keys() == keys
+
+
+@pytest.mark.parametrize("max_degree, m", [(9, 1), (7, 2)])
+def test_key_store_holds_only_entry_leg_and_generator_keys(max_degree, m):
+    # the right step keeps its leg products S(r_1)...S(r_k) to itself
+    hopf.clear_caches()
+    for c in iter_rcts(max_degree, m):
+        for side in ("left", "right"):
+            antipode_recursive(c, m, side)
+    stored = set(lincomb._INTERNED)
+    kinds = set()
+    for i, a in enumerate(list(trees.GENS)):
+        kinds.add(lincomb.prime(i))
+        kinds.update(lincomb.key_of(right) for _left, right, _k
+                     in coordmaps._tilde_items(a.channel, a.word, m))
+        for side in ("left", "right"):
+            kinds.update(coordmaps._antipode(i, m, side))
+    assert len(lincomb._INTERNED) == len(stored)  # every entry read was there
+    assert stored <= kinds, len(stored - kinds)
+    hopf.clear_caches()
 
 
 def _assert_one_object_per_value(c: Rct) -> list:
