@@ -22,7 +22,7 @@ solves the fixed point d = mod_compose(-c, d) one length per round, each
 round a product at its own length; antipode evaluation, the paper's
 route, is kept as the reference `antipode_inverse`.  Convolution reads
 the memoized feedback-coproduct id terms of `coordmaps` directly (one
-`GENS` lookup per left map, one `decode` per right leg) and sums their
+`GENS` lookup per left map, one `decode_key` per right leg) and sums their
 numerators in one pass over one denominator, phi's times psi's to
 the power one more than the map's integrator letters, so it builds one
 Fraction, its value.  Characters read numerators too: a monomial's value
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .coordmaps import CoordMap, _tilde_items, antipode, format_coord_map
 from .series import Series, _require_same_shape, channel_nums, from_nums, zero_series
-from .trees import GENS, decode
+from .trees import GENS, decode_key
 from .words import by_length, shuffle_into
 
 
@@ -265,7 +265,8 @@ def convolve(phi: Character, psi: Character, a: CoordMap) -> Fraction:
     for left, right, coeff in _tilde_items(a.channel, a.word, m):
         value = _numerator(phi_s, GENS[left])
         if value:  # as eval_monomial, read no factor past a zero one
-            total += coeff * value * _monomial_numerator(psi_s, decode(right)) * scale[len(right)]
+            mono = decode_key(right)
+            total += coeff * value * _monomial_numerator(psi_s, mono) * scale[len(mono)]
     # the right-primitive term 1 (x) a of the full coproduct comes last, so a
     # word past psi's truncation is reported where the tilde terms meet it
     total += _numerator(psi_s, a) * phi_s.den * scale[1]

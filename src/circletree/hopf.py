@@ -23,30 +23,34 @@ forest formula does.  The antipode comes three ways:
   of `lincomb.prime` of its factors' generator ids, `trees.gen_id`), so
   joining a block's inner terms is one int multiplication, and a block
   with one inner term is folded into one key per family; it counts the
-  keys with `Counter`, sorts each key's ids once, in a dict of the call,
-  and decodes each distinct monomial once.  `forest_signed_terms` carries
+  keys with `Counter`, keeps each key's ids in a dict of the call, and
+  decodes each distinct monomial once, with the unmemoized
+  `trees.decode`, sharing the edge's object when it is equal.  `forest_signed_terms` carries
   each term's blocks (bitmasks) and factor ids instead, and lists the
   blocks as position subsets for the sign-purity check and the family
   test; a code for the blocks carried beside each key, so that one walk
   served both, cost the sum more than the keys save.  Neither walk reads
-  the `lincomb` key store or a memo table other than `gen_id`, so a wrong
-  shared entry shows as a disagreement with the recursions.
+  the `lincomb` key store or a memo table other than `gen_id`, and the sum
+  takes from the memo of `trees.decode_key` only an object equal to its
+  own decoding, so a wrong shared entry shows as a disagreement with the
+  recursions.
 
 Trees and coordinate maps are one generator type (`CoordMap` is `Rct`),
-so both recursions read the combined id terms `coordmaps.reduced_items`
-with no relabelling, and the memoized ones fill and read the one
-`coordmaps._antipode` table, keyed by (generator id, m, side) and holding
-polynomials keyed by the prime-product keys of `lincomb`, which
-`coordmaps.antipode` decodes; only the formatter (`1:0.0` here,
-`a[1;0.0]` there) tells the sides apart.  Pass memoize=False to
-`antipode_recursive` to force the raw expansion, e.g. to time it; it runs
-the same step on ids and keys, fills no table and decodes once, at the
-end.
+so both recursions read the combined terms `coordmaps.reduced_items`
+(left id, right-leg key) with no relabelling, and the memoized ones fill
+and read the one `coordmaps._antipode` table, keyed by (generator id, m,
+side) and holding polynomials keyed by the prime-product keys of
+`lincomb`, which `coordmaps.antipode` decodes through `trees.decode_key`;
+only the formatter (`1:0.0` here, `a[1;0.0]` there) tells the sides
+apart.  Pass memoize=False to `antipode_recursive` to force the raw
+expansion, e.g. to time it; it runs the same step on ids and keys, fills
+no table and decodes once, at the end, through the same decoder.
 `antipode_stats` counts the raw terms of either recursion from the
 combined terms k l (x) r_1...r_n: g(a) = 1 + sum k g(l) on the left, and on
 the right M(a) = 1 + sum k M(r_1)...M(r_n), the number of forest terms;
-`_raw_count` is keyed by generator id, and the support and mass are read
-from the id entry of the antipode table, with nothing decoded.
+`_raw_count` is keyed by generator id and reads a right leg's factors
+through `lincomb.ids_of`, and the support and mass are read from the key
+entry of the antipode table, with nothing decoded.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ from . import coordmaps, lincomb
 from .coordmaps import reduced_items, reduced_terms
 from .lincomb import (LinComb, clear_caches, counit, format_monomial, format_rational, ids_of,
                       memo, mono_mul, mono_sort_key, nonzero, prime)
-from .trees import (Rct, Word, bit_indices, block_tree, decode, degree, format_rct, gen,
-                    gen_id, labelled_extractions, mono_degree)
+from .trees import (_MONOMIALS, Rct, Word, bit_indices, block_tree, decode, decode_key, degree,
+                    format_rct, gen, gen_id, labelled_extractions, mono_degree)
 
 Monomial = tuple[Rct, ...]
 
@@ -120,7 +124,7 @@ def antipode_recursive(c: Rct, m: int, side: str = "right", memoize: bool = True
     def raw(i: int) -> LinComb:
         return lincomb.antipode_step(i, reduced_items(i, m), side, raw)
 
-    return LinComb({decode(ids_of(key)): k for key, k in raw(gen_id(*c)).items()})
+    return LinComb({decode_key(key): k for key, k in raw(gen_id(*c)).items()})
 
 
 def antipode_poly(p: LinComb, m: int, method: str = "right") -> LinComb:
@@ -162,15 +166,15 @@ def forest_signed_terms(c: Rct, m: int) -> Iterator[tuple[tuple, Monomial, int]]
             if block not in subset_of:
                 subset_of[block] = tuple(i + 1 for i in bit_indices(block))
         subsets = sorted(subset_of[block] for block in blocks)
-        yield tuple(subsets), decode(tuple(sorted(factors))), 1 if len(blocks) % 2 else -1
+        yield tuple(subsets), decode(factors), 1 if len(blocks) % 2 else -1
 
 
 def _forest_keys(word: Word, mask: int, root: int, m: int, seen: dict, ids_of_key: dict) -> list:
     """The prime-product key (`lincomb.prime`) of every labelled general
     family of `_forest_terms`, with nothing else carried per term, so joining
     a block's inner terms is one int multiplication per product.
-    `ids_of_key` maps each key formed so far to its sorted id tuple, built by
-    one sort when the key is first formed.  `seen` holds each (block, label)
+    `ids_of_key` maps each key formed so far to its ids, its operands'
+    joined when the key is first formed.  `seen` holds each (block, label)
     key list met so far and, keyed by the mask alone, what a top-level
     family gives whatever the root label: its quotient word, the product of
     the keys of its one-term blocks, and the key lists of its other blocks."""
@@ -187,7 +191,7 @@ def _forest_keys(word: Word, mask: int, root: int, m: int, seen: dict, ids_of_ke
                 if len(inner) == 1:
                     key = fixed * inner[0]
                     if key not in ids_of_key:
-                        ids_of_key[key] = tuple(sorted(ids_of_key[fixed] + ids_of_key[inner[0]]))
+                        ids_of_key[key] = ids_of_key[fixed] + ids_of_key[inner[0]]
                     fixed = key
                 else:
                     lists.append(inner)
@@ -197,7 +201,7 @@ def _forest_keys(word: Word, mask: int, root: int, m: int, seen: dict, ids_of_ke
         i = gen_id(root, qword)
         key = prime(i) * fixed
         if key not in ids_of_key:
-            ids_of_key[key] = tuple(sorted(ids_of_key[fixed] + (i,)))
+            ids_of_key[key] = ids_of_key[fixed] + (i,)
         keys = [key]
         for inner in lists:
             joined = []
@@ -205,7 +209,7 @@ def _forest_keys(word: Word, mask: int, root: int, m: int, seen: dict, ids_of_ke
                 for b in inner:
                     key = a * b
                     if key not in ids_of_key:
-                        ids_of_key[key] = tuple(sorted(ids_of_key[a] + ids_of_key[b]))
+                        ids_of_key[key] = ids_of_key[a] + ids_of_key[b]
                     joined.append(key)
             keys = joined
         out += keys
@@ -215,14 +219,17 @@ def _forest_keys(word: Word, mask: int, root: int, m: int, seen: dict, ids_of_ke
 def antipode_forest(c: Rct, m: int) -> LinComb:
     """Sum of the forest terms; a term of n factors has sign (-1)^n, so no
     two terms cancel and each monomial's coefficient is its count, signed.
-    The keys are counted as they are and each distinct one decoded once,
-    through the id tuples of this call alone, not the `lincomb` key store."""
+    Each distinct key is decoded once, through the ids of this call, not
+    the `lincomb` key store; an equal monomial of the edge memo is returned
+    in its place, so a caller keeping a recursion's result too keeps one
+    copy, and an unequal, wrong entry is never used."""
     ids_of_key: dict = {1: ()}
     counts = Counter(_forest_keys(c.word, (1 << len(c.word)) - 1, c.root, m, {}, ids_of_key))
     out = LinComb()
     for key, k in counts.items():
         ids = ids_of_key[key]
-        out[decode(ids)] = -k if len(ids) % 2 else k
+        mono, shared = decode(ids), _MONOMIALS.get(key)
+        out[shared if shared == mono else mono] = -k if len(ids) % 2 else k
     return out
 
 
@@ -251,7 +258,7 @@ def _raw_count(i: int, m: int, side: str) -> int:
     right it is the number of forest terms."""
     if side == "left":
         return 1 + sum(k * _raw_count(left, m, side) for left, _right, k in reduced_items(i, m))
-    return 1 + sum(k * prod(_raw_count(r, m, side) for r in right)
+    return 1 + sum(k * prod(_raw_count(r, m, side) for r in ids_of(right))
                    for _left, right, k in reduced_items(i, m))
 
 

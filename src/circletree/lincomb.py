@@ -16,29 +16,27 @@ empties them all.
 
 Interning rule: a memo table stores one shared object per value.  Every
 memo table of the algebra holds small int generator ids (`trees.gen_id`),
-not generators: the coproduct terms, the raw counts and the antipode
-entries, and the forest sum and the unmemoized recursion compute on ids
-too.  The antipode step and the forest sum key a monomial by its
-prime-product key (below): the product of the primes of its factors'
-ids, so a product of monomials is one int multiplication and unique
-factorization keeps the key exact.  The one store `_INTERNED` maps a key
-to its one shared int and the one shared sorted id tuple of that
-monomial.  It holds three kinds of key: those of antipode entries, those
-of the coproduct terms' right legs, and the generators' primes.  A key is
-recorded the first time a step or a leg meets it, its tuple the
-operand's tuple merged with the other operand's ids by one sort, and
-every later step stores the shared int, so the tables hold one int per
-monomial, not one per entry.  The leg products of a right step, which no
-table keeps, live in a dict of that step, and the forest sum sorts its
-keys' ids in a dict of its own call, so it checks the store and never
-reads it.  The tuple functions (`poly_mul`, `mono_mul`, `antipode_poly`)
-keep sorted tuples.  A generator (`trees.Rct`, from `trees.gen`) appears
-only at the package edge: a key leaves through `ids_of`, then
-`trees.GENS` and `trees.decode`, which hands out one shared sorted tuple
-of generators per id tuple.  The key store, the numbering's
+not generators, and inside the algebra a monomial has one format, its
+prime-product key (below): the product of the primes of its factors' ids,
+so a product of monomials is one int multiplication and unique
+factorization keeps the key exact.  The coproduct terms hold each right
+leg as its key (the unit as 1) and the antipode entries are keyed by
+keys.  The one store `_INTERNED` maps a key to its one shared int and its
+factors' ids in the order first met, joined, never sorted; `ids_of` reads
+them.  It holds the keys of antipode entries and of coproduct legs, each
+leg recorded one factor at a time (`key_times`), and the generators'
+primes.  A step records a key the first time it forms it, so the tables
+hold one int per monomial, not one per entry.  The leg products of a
+right step, which no table keeps, live in a dict of that step, and the
+forest sum keeps its keys' ids in a dict of its own call, so it checks
+the store and never reads it.  A generator (`trees.Rct`) appears only at
+the package edge, where `trees.decode_key` turns a key into its one
+shared sorted monomial of generators.  The key store, the numbering's
 inverse list `trees.GENS` and the decoded monomials are plain stores that
 `clear_caches` empties with the tables, so no id outlives the numbering;
-the prime list depends on nothing and stays.  Equal values stay equal
+the prime list depends on nothing and stays.  The algebra on sorted
+tuples of generators (`poly_mul`, `mono_mul`, `antipode_poly`) stays on
+purpose: the checks apply it to public values.  Equal values stay equal
 whatever object holds them, so a caller's own generator works as before;
 shared ones let comparisons and lookups take the identity shortcut and
 keep the tables small.
@@ -50,7 +48,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
-from math import isqrt, prod
+from math import isqrt
 
 _MEMO_TABLES: list = []
 _MEMO_STORES: list = []  # plain dicts and lists that live as long as the tables
@@ -115,33 +113,26 @@ def prime(i: int) -> int:
         return _PRIMES[i]
 
 
-def key_of(ids: tuple) -> int:
-    """The key of a multiset of generator ids: the product of their primes."""
-    try:
-        return prod(map(_prime_at, ids))
-    except IndexError:
-        prime(max(ids))
-        return prod(map(_prime_at, ids))
-
-
-# key -> (the one shared int of that key, the one shared sorted id tuple of
-# that monomial), the first ones met since the tables were last cleared:
-# the antipode entries share the ints, the coproduct terms the tuples
+# key -> (the one shared int of that key, the ids of its factors in the
+# order they were first met), the monomials the tables have met since they
+# were last cleared; the unit 1 needs no entry
 _INTERNED: dict = memo_store({})
 
 
 def ids_of(key: int) -> tuple:
-    """The sorted id tuple of a stored key, for the package edge."""
-    return _INTERNED[key][1]
+    """The generator ids of the factors of a stored key, unsorted."""
+    return _INTERNED[key][1] if key != 1 else ()
 
 
-def intern_with(ids: tuple, i: int, key: int) -> tuple:
-    """The one shared sorted id tuple of `ids` and one more id `i`, whose key
-    `key` is `key_of(ids) * prime(i)`, so a tuple met before costs no sort."""
-    entry = _INTERNED.get(key)
+def key_times(key: int, i: int) -> int:
+    """The shared int of `key * prime(i)`: the stored monomial `key` times
+    the generator with id `i`.  A key new to the store records its ids,
+    those of `key` then `i`."""
+    new = key * prime(i)
+    entry = _INTERNED.get(new)
     if entry is None:
-        entry = _INTERNED[key] = (key, tuple(sorted(ids + (i,))))
-    return entry[1]
+        entry = _INTERNED[new] = (new, ids_of(key) + (i,))
+    return entry[0]
 
 
 class LinComb(dict):
@@ -228,16 +219,13 @@ def mono_sort_key(mono: tuple):
     return (len(mono), mono)
 
 
-def _key_mul(p: dict, q: dict, partial: dict | None = None) -> dict:
+def _key_mul(p: dict, q: dict, partial: dict) -> dict:
     """The product of two polynomials keyed by prime-product keys, `q` an
     antipode entry.  A key the store holds is replaced by its shared int; a
-    new key records its entry, its sorted id tuple by one sort, in
-    `partial`, the step-local store of the products no table keeps, or in
-    the store when none is given.  Zeros are kept: the caller drops them
-    once."""
+    new key records its entry, its operands' ids joined, in `partial`, the
+    step-local store of the products no table keeps.  Zeros are kept: the
+    caller drops them once."""
     store = _INTERNED
-    if partial is None:
-        partial = store
     out: dict = {}
     get = out.get
     for ka, ca in p.items():
@@ -247,8 +235,7 @@ def _key_mul(p: dict, q: dict, partial: dict | None = None) -> dict:
             if old is None:
                 entry = store.get(key) or partial.get(key)
                 if entry is None:
-                    ids = (store.get(ka) or partial[ka])[1] + store[kb][1]
-                    entry = partial[key] = (key, tuple(sorted(ids)))
+                    entry = partial[key] = (key, (store.get(ka) or partial[ka])[1] + store[kb][1])
                 key = entry[0]
                 out[key] = ca * cb
             else:
@@ -259,35 +246,32 @@ def _key_mul(p: dict, q: dict, partial: dict | None = None) -> dict:
 def antipode_step(x: int, reduced_terms, side: str, antipode_of) -> LinComb:
     """S(x) = -x - sum S(l) r (left) or -x - sum l S(r_1)...S(r_n) (right) over
     the (l, r, coeff) terms of the reduced coproduct of the generator id x (l
-    an id, r a sorted id tuple); `antipode_of` gives the antipode of a smaller
-    generator id, memoized or not, and is only read.  Antipodes are keyed by
-    prime-product keys, so each product is one int multiplication.  A key
-    new to the step is looked up in `_INTERNED` once: a stored key is
-    replaced by its shared int, and a new one records its sorted id tuple,
-    the operand's tuple merged with the other operand's ids by one sort.
-    A right leg's products S(r_1)...S(r_k), which no table keeps, record
-    theirs in a dict of the step alone, so the store holds only the keys of
-    table entries and coproduct legs and the generators' primes."""
+    an id, r the key of the right leg); `antipode_of` gives the antipode of a
+    smaller generator id, memoized or not, and is only read.  Every product
+    is one int multiplication: by the leg's key on the left, by the left
+    id's prime on the right.  A key new to the step is looked up in
+    `_INTERNED` once: a stored key is replaced by its shared int, and a new
+    one records its ids, the operand's joined with the other operand's.  A
+    right leg's factors are read through `ids_of` once per distinct leg,
+    and its products S(r_1)...S(r_k), which no table keeps, record theirs
+    in a dict of the step alone, so the store holds only the keys of table
+    entries and coproduct legs and the generators' primes."""
     if side not in {"left", "right"}:
         raise ValueError(f"side must be left or right, got {side!r}")
     store = _INTERNED
-    px = prime(x)
-    px = store.setdefault(px, (px, (x,)))[0]
-    acc = {px: -1}
+    acc = {key_times(1, x): -1}
     get = acc.get
-    legs: dict = {}  # per distinct right leg: its key (left) or S(r_1)...S(r_n) (right)
+    legs: dict = {}  # right leg key -> S(r_1)...S(r_n)
     partial: dict = {}  # key -> entry of a leg product the store does not hold
     for left, right, coeff in reduced_terms:
         if side == "left":
-            poly, ids = antipode_of(left), right
-            factor = legs.get(right)
-            if factor is None:
-                factor = legs[right] = key_of(right)
+            poly, factor, ids = antipode_of(left), right, store[right][1]
         else:
             poly = legs.get(right)
             if poly is None:  # a reduced leg is not 1
+                first, *rest = ids_of(right)
                 poly = legs[right] = reduce(lambda p, q: _key_mul(p, q, partial),
-                                            map(antipode_of, right[1:]), antipode_of(right[0]))
+                                            map(antipode_of, rest), antipode_of(first))
             factor, ids = prime(left), (left,)
         neg = -coeff
         for mono, k in poly.items():
@@ -296,7 +280,7 @@ def antipode_step(x: int, reduced_terms, side: str, antipode_of) -> LinComb:
             if old is None:
                 entry = store.get(key)
                 if entry is None:
-                    store[key] = (key, tuple(sorted((store.get(mono) or partial[mono])[1] + ids)))
+                    store[key] = (key, (store.get(mono) or partial[mono])[1] + ids)
                 else:
                     key = entry[0]
                 acc[key] = neg * k

@@ -19,20 +19,20 @@ Every generator the package builds comes from `gen`, a memo table that
 hands out one shared `Rct` per value (the interning rule of `lincomb`); an
 `Rct(...)` a caller builds is equal to it and works everywhere.  Inside
 every memo table of the algebra (coproduct terms, raw counts, antipodes)
-and the forest sum a generator is a small int, `gen_id`, and `GENS` lists
-the generators by id.  The antipode table and the forest sum key their
-monomials by products of the ids' primes (`lincomb.prime`): the table
-finds a key's ids in the key store of `lincomb`, the forest sum in a dict
-of its own call.  `GENS` and `decode`, which turns a sorted tuple of ids
-into the one shared sorted monomial of generators, are the package edge
-where a result leaves as `Rct`.
+and the forest sum a generator is a small int, `gen_id`, `GENS` lists the
+generators by id, and a monomial is the product of its ids' primes
+(`lincomb.prime`).  The package edge, where a result leaves as `Rct`, is
+`decode_key`: the one decoder of a stored key, which reads its ids from
+the key store of `lincomb` and hands out one shared sorted monomial per
+key.  `decode` sorts the generators of any ids, unmemoized; the forest
+sum decodes its own ids with it, so no shared entry sets its values.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .lincomb import memo, memo_store
+from .lincomb import ids_of, memo, memo_store
 from .words import Word, format_word, parse_word, word_degree
 
 Subset = tuple[int, ...]
@@ -67,15 +67,20 @@ def gen_id(root: int, word: Word) -> int:
     return len(GENS) - 1
 
 
-_DECODED: dict = memo_store({})
+def decode(ids) -> tuple[Rct, ...]:
+    """The sorted monomial of the generators with these ids, in any order."""
+    return tuple(sorted([GENS[i] for i in ids]))
 
 
-def decode(ids: tuple[int, ...]) -> tuple[Rct, ...]:
-    """The one shared sorted monomial of the generators with these sorted
-    ids, memoized by id tuple."""
-    mono = _DECODED.get(ids)
+_MONOMIALS: dict = memo_store({})  # key -> its one shared decoded monomial
+
+
+def decode_key(key: int) -> tuple[Rct, ...]:
+    """The one shared sorted monomial of a key of the `lincomb` key store:
+    the package edge, where every stored key leaves as generators."""
+    mono = _MONOMIALS.get(key)
     if mono is None:
-        mono = _DECODED[ids] = tuple(sorted([GENS[i] for i in ids]))
+        mono = _MONOMIALS[key] = decode(ids_of(key))
     return mono
 
 
@@ -212,6 +217,8 @@ def _check_positions(c: Rct, subset: Subset) -> None:
     k = len(c.word)
     if not subset:
         raise ValueError("empty subset")
+    if len(set(subset)) < len(subset):
+        raise ValueError(f"subset {subset} repeats a position")
     if any(not 1 <= p <= k for p in subset):
         raise ValueError(f"subset {subset} out of range for word of length {k}")
     if not is_white(c.word[subset[0] - 1]):
@@ -349,4 +356,7 @@ def parse_subset(text: str) -> Subset:
     inner = text[1:-1].strip()
     if not inner:
         raise ValueError("empty subset")
-    return tuple(sorted(int(part) for part in inner.split(",")))
+    subset = tuple(sorted(int(part) for part in inner.split(",")))
+    if len(set(subset)) < len(subset):
+        raise ValueError(f"subset {text!r} repeats a position")
+    return subset

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from circletree import checks, coordmaps, hopf, lincomb, trees
@@ -106,15 +108,19 @@ def test_reduced_terms_are_the_tilde_terms_after_the_left_primitive_one():
 
 
 def test_the_tilde_table_holds_generator_ids():
-    # the table holds (left id, sorted right id tuple, coefficient); the
-    # decoded view is the extraction sum less its primitive terms
+    # the table holds (left id, key of the right leg, coefficient), the
+    # left-primitive leg the unit 1 and every other leg a stored key, the
+    # product of its ids' primes; the decoded view is the extraction sum
+    # less its primitive terms
     hopf.clear_caches()
     a = A(2, (0, 1, 0, 0))
     items = coordmaps._tilde_items(*a, 2)
-    assert len(items) > 1
+    assert len(items) > 1 and items[0][1] == 1
     for left, right, coeff in items:
-        assert type(left) is int and type(right) is tuple and type(coeff) is int
-        assert all(type(i) is int for i in right) and list(right) == sorted(right)
+        assert type(left) is int and type(right) is int and type(coeff) is int
+        ids = lincomb.ids_of(right)
+        assert all(type(i) is int for i in ids) and right == prod(map(lincomb.prime, ids))
+    assert all(right in lincomb._INTERNED for _left, right, _coeff in items[1:])
     terms = tilde_terms(a, 2)
     assert terms[0] == (a, (), 1)
     reference = LinComb({(left, right): k for (left, right), k in
@@ -177,13 +183,24 @@ def test_iso_antipode_catches_a_tampered_coordinate_map_antipode(monkeypatch, si
 
 def test_iso_antipode_catches_a_wrong_key_store_entry():
     # a stored key that names another monomial misleads both recursions,
-    # which decode through the shared store; the forest formula does not
-    hopf.clear_caches()
-    try:
+    # which decode through the shared store and its edge memo; the forest
+    # formula reads neither
+    def wrong_key():
+        hopf.clear_caches()
         checks.check_iso_antipode(4, 2)
         entry = coordmaps._antipode(trees.gen_id(2, (0, 1)), 2, "right")
-        key, other = list(entry)[-2:]
+        return list(entry)[-2:]
+
+    try:
+        # a wrong store entry, which the edge decodes on the next read
+        key, other = wrong_key()
         lincomb._INTERNED[key] = (key, lincomb.ids_of(other))
+        del trees._MONOMIALS[key]
+        with pytest.raises(AssertionError, match="differ from the forest"):
+            checks.check_iso_antipode(4, 2)
+        # a wrong decoded monomial where a warm read finds it
+        key, other = wrong_key()
+        trees._MONOMIALS[key] = trees.decode_key(other)
         with pytest.raises(AssertionError, match="differ from the forest"):
             checks.check_iso_antipode(4, 2)
     finally:

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+from functools import reduce
+from math import prod
 
 import pytest
 
@@ -197,12 +199,13 @@ def test_no_zero_coefficient_is_stored():
     # the step runs on generator ids, its polynomials keyed by prime-product keys
     iu, iv, ix = (trees.gen_id(*g) for g in (u, v, x))
     single = {i: lincomb.prime(i) for i in (iu, iv, ix)}
-    assert [lincomb.intern_with((), i, key) for i, key in single.items()] == [(iu,), (iv,), (ix,)]
+    for i, key in single.items():  # record each generator's key, as a coproduct leg does
+        assert lincomb.key_times(1, i) == key and lincomb.ids_of(key) == (i,)
     for side in ("left", "right"):
-        cancelling = [(iu, (iv,), 1), (iu, (iv,), -1)]
+        cancelling = [(iu, single[iv], 1), (iu, single[iv], -1)]
         step = lincomb.antipode_step(ix, cancelling, side, lambda g: LinComb({single[g]: -1}))
         assert step == {single[ix]: -1}, side
-        assert trees.decode(lincomb.ids_of(single[ix])) == (x,)
+        assert trees.decode_key(single[ix]) == (x,)
     for c in iter_rcts(8, 2):
         polys = [hopf.antipode(c, 2, method) for method in ("left", "right", "forest")]
         polys += [coordmaps.antipode(c, 2, side) for side in ("left", "right")]
@@ -244,10 +247,12 @@ def test_forest_equals_both_recursions_at_degree_15():
 def _extraction_right_antipode(c, m, table):
     """Right recursion over the reduced terms of the extraction sum, a route
     that shares no coproduct table with `hopf.antipode`; the step reads the
-    terms as generator ids and sorted id tuples."""
+    terms as generator ids and right-leg keys, each leg recorded in the key
+    store one factor at a time."""
     i = trees.gen_id(*c)
     if i not in table:
-        terms = [(trees.gen_id(*left[0]), tuple(sorted(trees.gen_id(*r) for r in right)), k)
+        terms = [(trees.gen_id(*left[0]),
+                  reduce(lincomb.key_times, (trees.gen_id(*r) for r in right), 1), k)
                  for (left, right), k in hopf.extraction_coproduct(c, m).items() if left and right]
         table[i] = lincomb.antipode_step(
             i, terms, "right", lambda j: _extraction_right_antipode(trees.GENS[j], m, table))
@@ -339,7 +344,7 @@ def test_generator_ids_live_only_as_long_as_the_tables():
     assert size == ids > 0
     keys = first_keys()
     # the interned monomials, the numbering's inverse and the decoded monomials
-    stores = [lincomb._INTERNED, trees.GENS, trees._DECODED]
+    stores = [lincomb._INTERNED, trees.GENS, trees._MONOMIALS]
     assert list(map(id, lincomb._MEMO_STORES)) == list(map(id, stores))
     assert all(stores)
     hopf.clear_caches()
@@ -361,12 +366,14 @@ def test_key_store_holds_only_entry_leg_and_generator_keys(max_degree, m):
     kinds = set()
     for i, a in enumerate(list(trees.GENS)):
         kinds.add(lincomb.prime(i))
-        kinds.update(lincomb.key_of(right) for _left, right, _k
-                     in coordmaps._tilde_items(a.channel, a.word, m))
+        kinds.update(right for _left, right, _k in coordmaps._tilde_items(a.channel, a.word, m))
         for side in ("left", "right"):
             kinds.update(coordmaps._antipode(i, m, side))
     assert len(lincomb._INTERNED) == len(stored)  # every entry read was there
     assert stored <= kinds, len(stored - kinds)
+    # each entry is its key's shared int and ids whose primes multiply to the key
+    for key, (shared, ids) in lincomb._INTERNED.items():
+        assert shared == key == prod(map(lincomb.prime, ids)), key
     hopf.clear_caches()
 
 

@@ -8,7 +8,7 @@ examples and stays deterministic.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -125,34 +125,35 @@ def test_shuffle_polys_drops_cancelled_terms(a, max_len):
 id_multisets = st.lists(st.integers(0, 59), max_size=5).map(tuple)
 
 
-def stored_key(ids: tuple) -> int:
-    """Record the multiset `ids` in the key store one id at a time, in the
-    order given, as the coproduct table does; return its key."""
-    key, merged = 1, ()
-    for i in ids:
-        key *= lincomb.prime(i)
-        merged = lincomb.intern_with(merged, i, key)
-    assert merged == tuple(sorted(ids))
-    return key
+def key_of(ids: tuple) -> int:
+    """The key of a multiset of generator ids: the product of their primes."""
+    return prod(map(lincomb.prime, ids))
 
 
 @FIXED
 @given(id_multisets, id_multisets)
 def test_prime_product_keys_are_exact(a, b):
-    key_a, key_b = stored_key(a), stored_key(b)
-    merged = tuple(sorted(a + b))
-    assert key_a == lincomb.key_of(a) and key_b == lincomb.key_of(b)
-    assert key_a * key_b == lincomb.key_of(merged)
+    key_a, key_b = key_of(a), key_of(b)
+    assert key_a * key_b == key_of(tuple(sorted(a + b)))
     assert (key_a == key_b) == (sorted(a) == sorted(b))
-    if a or b:  # the store holds the monomials the algebra meets, never the unit 1
-        # a product key records (or finds) the sorted merge of its operands' ids
-        assert lincomb._key_mul({key_a: 1}, {key_b: 1}) == {key_a * key_b: 1}
-        assert lincomb.ids_of(key_a * key_b) == merged
+    # a product key finds its entry, or records its operands' ids joined in
+    # the dict of the step, `a` a leg product there and `b` an entry's key
+    partial = {key_a: (key_a, a)}
+    saved = dict(lincomb._INTERNED)
+    lincomb._INTERNED[key_b] = (key_b, b)
+    try:
+        assert lincomb._key_mul({key_a: 1}, {key_b: 1}, partial) == {key_a * key_b: 1}
+        ids = (lincomb._INTERNED.get(key_a * key_b) or partial[key_a * key_b])[1]
+        assert sorted(ids) == sorted(a + b)
+        assert lincomb._INTERNED.keys() == saved.keys() | {key_b}  # the store gains nothing
+    finally:
+        lincomb._INTERNED.clear()
+        lincomb._INTERNED.update(saved)
 
 
 def test_prime_product_keys_are_injective_on_small_multisets():
     multisets = [ids for n in range(4) for ids in combinations_with_replacement(range(40), n)]
-    assert len({lincomb.key_of(ids) for ids in multisets}) == len(multisets) == 12341
+    assert len({key_of(ids) for ids in multisets}) == len(multisets) == 12341
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -61,6 +61,15 @@ REFUSALS = {
     "parse-subset-empty": (
         lambda: trees.parse_subset("{ }"),
         "empty subset"),
+    "parse-subset-repeated-position": (
+        lambda: trees.parse_subset("{1,1}"),
+        "subset '{1,1}' repeats a position"),
+    "quotient-repeated-position": (
+        lambda: trees.quotient(trees.Rct(1, (0, 0, 1)), [(1, 1, 2)], [2], 2),
+        "subset (1, 1, 2) repeats a position"),
+    "restrict-repeated-position": (
+        lambda: trees.restrict(trees.Rct(1, (0, 0, 1)), (1, 1, 2), 2, 2),
+        "subset (1, 1, 2) repeats a position"),
     "nesting-forest-of-the-empty-family": (
         lambda: trees.build_nesting_forest(WHITE, trees.EMPTY_EXTRACTION),
         "nesting forest needs a nonempty extraction"),
